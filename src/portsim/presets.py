@@ -19,10 +19,13 @@ loading one exercises the same parsing and validation as a user file.
 from __future__ import annotations
 
 import copy
-from typing import Any
 
 from .errors import ValidationError
 from .scenario import Scenario, scenario_from_dict, validate_scenario
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 _RECONCILIATION_NOTE = (
     "share reconciliation: this variant swaps the stated transport/buildings split "

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .scenario import PvArraySpec, WindTurbineSpec
 
 #: Betz limit: the physical upper bound on a turbine's power coefficient.

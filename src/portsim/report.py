@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
 
 from .dispatch import Assignment, solve_assignment
 from .economics import CostReport, cost_report
@@ -33,14 +32,18 @@ from .scenario import (
     validate_scenario,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
+
 
 @dataclass(frozen=True)
 class SimulationReport:
     scenario_name: str
     energy: EnergyResult
     emissions: EmissionsResult
-    generation: Optional[GenerationResult]
-    assignment: Optional[Assignment]
+    generation: GenerationResult | None
+    assignment: Assignment | None
     costs: CostReport
     objective: ObjectiveScore
     flags: tuple[str, ...]

@@ -18,15 +18,19 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
-from typing import Any, Mapping, Optional
 
 from . import renewables as renewables_model
 from .dispatch import CostMatrix
 from .errors import DispatchError, ValidationError
 from .objective import ObjectiveWeights
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from os import PathLike
+    from typing import Any
 
 #: Sector shares must sum to 1 within this tolerance; inputs are
 #: human-authored decimals, so anything larger is a typo.
@@ -101,7 +105,7 @@ class RenewableSupplySpec:
         cls,
         renewable_energy: float,
         source: RenewableSource = RenewableSource.EXPLICIT,
-        new_green_energy: Optional[float] = None,
+        new_green_energy: float | None = None,
     ) -> "RenewableSupplySpec":
         if new_green_energy is None:
             new_green_energy = renewable_energy
@@ -134,7 +138,7 @@ class PvArraySpec:
         panel_area: float,
         module_efficiency: float,
         irradiance: float = 1.0,
-        peak_power: Optional[float] = None,
+        peak_power: float | None = None,
         sun_hours: float = renewables_model.DEFAULT_SUN_HOURS,
         performance_ratio: float = renewables_model.DEFAULT_PERFORMANCE_RATIO,
     ) -> "PvArraySpec":
@@ -175,7 +179,7 @@ class WindTurbineSpec:
         operating_hours: float,
         air_density: float = renewables_model.STANDARD_AIR_DENSITY,
         power_coefficient: float = renewables_model.DEFAULT_POWER_COEFFICIENT,
-        average_power: Optional[float] = None,
+        average_power: float | None = None,
     ) -> "WindTurbineSpec":
         if average_power is None:
             average_power = renewables_model.wind_instant_power(
@@ -207,7 +211,7 @@ class Scenario:
     costs: CostParameters
     pv_arrays: tuple[PvArraySpec, ...] = ()
     wind_turbines: tuple[WindTurbineSpec, ...] = ()
-    dispatch_matrix: Optional[CostMatrix] = None
+    dispatch_matrix: CostMatrix | None = None
     objective_weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     notes: tuple[str, ...] = ()
 
@@ -329,12 +333,6 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     c = scenario.costs
     _non_negative(c.baseline_cost_per_teu, "costs.baseline_cost_per_teu")
     _non_negative(c.optimized_cost_per_teu, "costs.optimized_cost_per_teu")
-
-    if scenario.dispatch_matrix is not None:
-        try:
-            CostMatrix.from_rows(scenario.dispatch_matrix.entries)
-        except DispatchError as exc:
-            raise ValidationError("dispatch_matrix", f"dispatch_matrix: {exc}") from None
 
     w = scenario.objective_weights
     for name in ("w_emissions", "w_energy", "w_dispatch", "w_renewables"):
@@ -499,7 +497,7 @@ def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
     return ObjectiveWeights(**kwargs)
 
 
-def _parse_matrix(raw: Any) -> Optional[CostMatrix]:
+def _parse_matrix(raw: Any) -> CostMatrix | None:
     if raw is None:
         return None
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
@@ -643,9 +641,11 @@ def scenario_from_json(text: str) -> Scenario:
     return scenario_from_dict(raw)
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | PathLike[str]) -> Scenario:
     """Parse and fully validate a scenario file."""
-    return validate_scenario(scenario_from_json(Path(path).read_text(encoding="utf-8")))
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return validate_scenario(scenario_from_json(text))
 
 
 def with_shares(scenario: Scenario, shares: SectorShares) -> Scenario:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import portsim
 from portsim import get_preset, run_scenario, serialize_report
 from portsim.cli import main
 from conftest import make_scenario_dict
@@ -130,3 +134,16 @@ def test_existing_file_beats_preset_name(tmp_path, monkeypatch, capsys):
     write_scenario(tmp_path, name="yangshan-phase4")
     assert main(["validate", "yangshan-phase4"]) == 0
     assert "valid: test-port" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_out_pathlib_and_typing():
+    # every command starts a fresh interpreter, which pays for each import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import portsim.cli; "
+        "print(sorted({'pathlib', 'typing', 'fractions'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

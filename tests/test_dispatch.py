@@ -1,9 +1,10 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from portsim import (
@@ -18,12 +19,12 @@ from conftest import PAPER_MATRIX
 
 
 def enumerate_optima(entries):
-    """Independent enumeration: all optimal permutations and the optimal total."""
+    """Independent enumeration: all optimal permutations and the exact optimal total."""
     n = len(entries)
     best = math.inf
     optima = []
     for perm in itertools.permutations(range(n)):
-        total = math.fsum(entries[i][perm[i]] for i in range(n))
+        total = sum(Fraction(entries[i][perm[i]]) for i in range(n))
         if total < best:
             best = total
             optima = [perm]
@@ -86,6 +87,13 @@ def test_wide_matrix_pads_rows():
     assert solved.total_cost == 4.0
 
 
+def test_wide_range_costs_are_compared_exactly():
+    # a padding sentinel near 3e17 would absorb the difference between 3 and 1
+    solved = solve_assignment(CostMatrix.from_rows([[1e17, 3.0, 1.0]]))
+    assert solved.mapping == (2,)
+    assert solved.total_cost == 1.0
+
+
 def test_tall_matrix_reports_unassigned_rows():
     # rows outnumber columns: the worst row stays unassigned
     matrix = CostMatrix.from_rows([[1, 2], [2, 4], [3, 6]])
@@ -122,6 +130,11 @@ def test_non_finite_entries_rejected():
 def test_negative_entries_rejected():
     with pytest.raises(DispatchError, match="negative"):
         CostMatrix.from_rows([[1.0, -0.5], [2.0, 3.0]])
+    # construction validates too, so no solve has to check again
+    with pytest.raises(DispatchError, match=r"entry \(1, 0\) is negative"):
+        CostMatrix(entries=((1.0, 0.5), (-2.0, 3.0)))
+    with pytest.raises(DispatchError, match="row 1 has 1 entries"):
+        CostMatrix(entries=((1.0, 0.5), (2.0,)))
 
 
 def test_empty_matrix_rejected():
@@ -146,14 +159,21 @@ def test_solver_is_deterministic():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    n=st.integers(min_value=2, max_value=5),
-    data=st.data(),
+    entries=st.integers(min_value=2, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.floats(min_value=0, max_value=1000, allow_nan=False), min_size=n, max_size=n
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
 )
-def test_oracle_equivalence_random(n, data):
-    entries = [
-        [data.draw(st.floats(min_value=0, max_value=1000, allow_nan=False)) for _ in range(n)]
-        for _ in range(n)
-    ]
+# the totals 5e-324 + 1.0 and 0.0 + 1.0 round to the same float: only an
+# exact comparison sees that (1, 0) is the unique optimum
+@example(entries=[[5e-324, 0.0], [1.0, 1.0]])
+def test_oracle_equivalence_random(entries):
+    n = len(entries)
     matrix = CostMatrix.from_rows(entries)
     solved = solve_assignment(matrix)
     oracle = brute_force_assignment(matrix)
@@ -161,7 +181,7 @@ def test_oracle_equivalence_random(n, data):
     # permutation validity on the square core
     assert sorted(solved.mapping) == list(range(n))
     best, optima = enumerate_optima(matrix.entries)
-    assert solved.total_cost == best
+    assert solved.total_cost == float(best)
     if len(optima) == 1:
         assert solved.mapping == optima[0]
     # shared tie-break: both pick the lexicographically smallest optimum
@@ -183,6 +203,77 @@ def test_tie_heavy_integer_matrices(n, data):
     best, optima = enumerate_optima(matrix.entries)
     assert solved.total_cost == best
     assert solved.mapping == min(optima)
+
+
+def enumerate_injections(entries):
+    """Exact optimum of a rectangular matrix with the documented tie-break.
+
+    Every maximum-cardinality mapping is scored with exact fractions; the
+    lexicographically smallest optimal one wins, an unassigned row (None)
+    ordering after every column.
+    """
+    n_rows, n_cols = len(entries), len(entries[0])
+    wide = n_rows <= n_cols
+    best = None
+    for chosen in itertools.permutations(range(max(n_rows, n_cols)), min(n_rows, n_cols)):
+        if wide:  # chosen[i]: the column given row i
+            mapping = list(chosen)
+        else:  # chosen[j]: the row given column j
+            mapping = [None] * n_rows
+            for j, i in enumerate(chosen):
+                mapping[i] = j
+        total = sum(Fraction(entries[i][j]) for i, j in enumerate(mapping) if j is not None)
+        key = (total, [n_cols if j is None else j for j in mapping])
+        if best is None or key < best[0]:
+            best = (key, tuple(mapping))
+    return best[0][0], best[1]
+
+
+def rectangular_matrices():
+    ties = st.integers(min_value=0, max_value=3).map(float)
+    wide = st.floats(min_value=1e-300, max_value=1e300)
+    return st.tuples(
+        st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6)
+    ).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.one_of(ties, wide), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=rectangular_matrices())
+@example(entries=[[1e17, 3.0, 1.0]])
+@example(entries=[[1e300, 1.0], [1e-300, 0.0], [2.0, 1e300]])
+def test_rectangular_wide_range_against_exact_enumeration(entries):
+    best, mapping = enumerate_injections(entries)
+    solved = solve_assignment(CostMatrix.from_rows(entries))
+    assert solved.mapping == mapping
+    assert solved.total_cost == float(best)
+
+
+def test_all_zero_200_is_identity():
+    n = 200
+    solved = solve_assignment(CostMatrix.from_rows([[0.0] * n for _ in range(n)]))
+    assert solved.mapping == tuple(range(n))
+    assert solved.total_cost == 0.0
+
+
+@pytest.mark.parametrize("n", [50, 120, 200])
+def test_integer_totals_match_scipy(n):
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(f"scipy-{n}")
+    for rows, cols, hi in ((n, n, 1000), (n, n, 3), (n // 2, n, 1000), (n, n // 2, 1000)):
+        entries = [[float(rng.randint(0, hi)) for _ in range(cols)] for _ in range(rows)]
+        solved = solve_assignment(CostMatrix.from_rows(entries))
+        cost = np.array(entries)
+        r, c = optimize.linear_sum_assignment(cost)
+        assert solved.total_cost == float(cost[r, c].sum())
+        assigned = [j for j in solved.mapping if j is not None]
+        assert len(assigned) == len(set(assigned)) == min(rows, cols)
 
 
 def test_potential_invariance_row_and_column_shifts():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from portsim import (
@@ -92,13 +92,26 @@ def test_doubling_all_sectors_doubles_emissions(sectors, fs):
 
 
 @given(sectors=sectors_strategy(), fs=factors_strategy())
+# both totals are rounded on their own, so the delta carries an error of a
+# few ulps of the totals, which exceeds any fixed absolute tolerance
+@example(
+    sectors=SectorEnergyBreakdown(946380379.0, 735518166.51, 901929123.16),
+    fs=EmissionFactorSet(1e-06, 8.0, 3.0, 0.0),
+)
+@example(
+    sectors=SectorEnergyBreakdown(620591693.0, 0.0, 858993398.0),
+    fs=EmissionFactorSet(1e-06, 0.0, 10.0, 0.0),
+)
 def test_doubling_one_sector_adds_its_contribution(sectors, fs):
     bumped = SectorEnergyBreakdown(
         2 * sectors.equipment, sectors.transport, sectors.buildings
     )
-    delta = baseline_emissions(bumped, fs) - baseline_emissions(sectors, fs)
+    before = baseline_emissions(sectors, fs)
+    after = baseline_emissions(bumped, fs)
     contribution = sectors.equipment * fs.equipment_factor
-    assert math.isclose(delta, contribution, rel_tol=1e-9, abs_tol=1e-6)
+    assert math.isclose(
+        after - before, contribution, rel_tol=1e-9, abs_tol=4 * math.ulp(max(before, after))
+    )
 
 
 @given(sectors=sectors_strategy(), fs=factors_strategy())
