@@ -23,14 +23,7 @@ from .dispatch import load_cost_matrix, solve_assignment
 from .errors import PortsimError
 from .presets import PRESET_SUMMARIES, get_preset, preset_names
 from .report import run_scenario, serialize_report, summarize
-from .scenario import (
-    Scenario,
-    SectorShares,
-    load_scenario,
-    validate_scenario,
-    with_shares,
-    with_weights,
-)
+from .scenario import Scenario, SectorShares, load_scenario, with_shares, with_weights
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -95,13 +88,20 @@ def _load_input(name_or_path: str) -> Scenario:
     return get_preset(name_or_path)
 
 
+class _WriteError(PortsimError):
+    module = "cli"
+
+
 def _emit(data: bytes, output: str | None) -> None:
-    if output:
-        with open(output, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+    try:
+        if output:
+            with open(output, "wb") as fh:
+                fh.write(data)
+        else:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+    except OSError as exc:
+        raise _WriteError(f"cannot write output: {exc}") from None
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -111,6 +111,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # Each override builds a new Scenario, which checks itself.
     scenario = _load_input(args.input)
     if args.shares is not None:
         scenario = with_shares(
@@ -132,7 +133,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 w_renewables=args.weights[3],
             ),
         )
-    scenario = validate_scenario(scenario)
     report = run_scenario(scenario)
     _emit(serialize_report(report, args.format), args.output)
     print(summarize(report), file=sys.stderr)

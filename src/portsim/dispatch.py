@@ -85,7 +85,12 @@ class CostMatrix:
         # Built from lists: a tuple grown from a generator is resized to
         # fit, and the resized tuples pile up on CPython's tuple free lists
         # (about 0.75 MB after a few hundred fleet-sized matrices).
-        return cls(entries=tuple([tuple([float(x) for x in row]) for row in rows]))
+        try:
+            return cls(entries=tuple([tuple([float(x) for x in row]) for row in rows]))
+        except OverflowError:
+            raise DispatchError(
+                "cost matrix entry is not finite (an integer too large for a float)"
+            ) from None
 
 
 @dataclass(frozen=True)

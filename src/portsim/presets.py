@@ -13,15 +13,13 @@ in how the baseline energy is split across sectors:
   data; each variant carries a note explaining which side it follows.
 
 Presets are plain scenario dictionaries in the external JSON schema, so
-loading one exercises the same parsing and validation as a user file.
+loading one runs the same parsing and checks as a user file.
 """
 
 from __future__ import annotations
 
-import copy
-
 from .errors import ValidationError
-from .scenario import Scenario, scenario_from_dict, validate_scenario
+from .scenario import Scenario, scenario_from_dict
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -39,53 +37,49 @@ _STATED_SHARES_NOTE = (
     "split (see the yangshan-phase4 preset)"
 )
 
-_YANGSHAN_BASE: dict[str, Any] = {
-    "name": "yangshan-phase4",
-    "throughput": {"teu_per_year": 6.3e6, "unit_energy": 125.0},
-    "shares": {
-        "equipment_share": 0.5,
-        "transport_share": 0.2,
-        "buildings_share": 0.3,
-    },
-    "factors": {
-        "equipment_factor": 0.5,
-        "transport_factor": 0.7,
-        "buildings_factor": 1.2,
-        "grid_factor": 0.4,
-    },
-    # 10% of the 787,500 MWh baseline is offset by renewables; 75,000 MWh of
-    # that is newly introduced green capacity (the substitution denominator).
-    "renewables": {
-        "renewable_energy": 78750.0,
-        "source": "explicit",
-        "new_green_energy": 75000.0,
-    },
-    "costs": {"baseline_cost_per_teu": 250.0, "optimized_cost_per_teu": 175.0},
-    "dispatch_matrix": [
-        [420.0, 350.0, 450.0],
-        [450.0, 400.0, 280.0],
-        [420.0, 360.0, 390.0],
-    ],
-    "notes": [_RECONCILIATION_NOTE],
-}
 
-
-def _stated_variant() -> dict[str, Any]:
-    variant = copy.deepcopy(_YANGSHAN_BASE)
-    variant["name"] = "yangshan-phase4-stated-shares"
-    variant["shares"] = {
-        "equipment_share": 0.5,
-        "transport_share": 0.3,
-        "buildings_share": 0.2,
+def _yangshan(
+    name: str, transport_share: float, buildings_share: float, note: str
+) -> dict[str, Any]:
+    """A fresh Yangshan Phase IV dictionary, so the presets share nothing."""
+    return {
+        "name": name,
+        "throughput": {"teu_per_year": 6.3e6, "unit_energy": 125.0},
+        "shares": {
+            "equipment_share": 0.5,
+            "transport_share": transport_share,
+            "buildings_share": buildings_share,
+        },
+        "factors": {
+            "equipment_factor": 0.5,
+            "transport_factor": 0.7,
+            "buildings_factor": 1.2,
+            "grid_factor": 0.4,
+        },
+        # 10% of the 787,500 MWh baseline is offset by renewables; 75,000 MWh
+        # of that is newly introduced green capacity (the substitution
+        # denominator).
+        "renewables": {
+            "renewable_energy": 78750.0,
+            "source": "explicit",
+            "new_green_energy": 75000.0,
+        },
+        "costs": {"baseline_cost_per_teu": 250.0, "optimized_cost_per_teu": 175.0},
+        "dispatch_matrix": [
+            [420.0, 350.0, 450.0],
+            [450.0, 400.0, 280.0],
+            [420.0, 360.0, 390.0],
+        ],
+        "notes": [note],
     }
-    variant["notes"] = [_STATED_SHARES_NOTE]
-    return variant
 
 
 #: Scenario dictionaries in the external JSON schema, keyed by preset name.
 PRESETS: dict[str, dict[str, Any]] = {
-    "yangshan-phase4": _YANGSHAN_BASE,
-    "yangshan-phase4-stated-shares": _stated_variant(),
+    "yangshan-phase4": _yangshan("yangshan-phase4", 0.2, 0.3, _RECONCILIATION_NOTE),
+    "yangshan-phase4-stated-shares": _yangshan(
+        "yangshan-phase4-stated-shares", 0.3, 0.2, _STATED_SHARES_NOTE
+    ),
 }
 
 PRESET_SUMMARIES: dict[str, str] = {
@@ -105,9 +99,13 @@ def preset_names() -> list[str]:
 
 
 def get_preset(name: str) -> Scenario:
-    """Load a bundled scenario by name, validated like any user file."""
+    """Load a bundled scenario by name, checked like any user file.
+
+    Parsing copies what it keeps into tuples and records, so the result
+    shares nothing mutable with :data:`PRESETS`.
+    """
     if name not in PRESETS:
         raise ValidationError(
             "preset", f"unknown preset '{name}' (available: {', '.join(preset_names())})"
         )
-    return validate_scenario(scenario_from_dict(copy.deepcopy(PRESETS[name])))
+    return scenario_from_dict(PRESETS[name])

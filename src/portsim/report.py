@@ -8,14 +8,16 @@ readable, full precision, round-trippable) or CSV (one metric per row:
 ``metric,value,unit``, plot-ready).
 
 Reports are deterministic: the same scenario always produces the same
-bytes. Presentation rounding happens only in ``summarize``, the
-human-readable digest printed by the CLI on the error stream.
+bytes, and every number in them is finite. Presentation rounding happens
+only in ``summarize``, the human-readable digest printed by the CLI on
+the error stream.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .dispatch import Assignment, solve_assignment
@@ -25,16 +27,13 @@ from .energy import EnergyResult, evaluate_energy
 from .errors import ValidationError
 from .objective import ObjectiveScore, score_scenario
 from .renewables import GenerationResult, annual_generation
-from .scenario import (
-    RenewableSource,
-    Scenario,
-    SectorEnergyBreakdown,
-    validate_scenario,
-)
+from .scenario import RenewableSource, Scenario, SectorEnergyBreakdown
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Any
+
+_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,13 @@ class SimulationReport:
 
 
 def run_scenario(scenario: Scenario) -> SimulationReport:
-    """Evaluate one validated scenario into a full report."""
-    validate_scenario(scenario)
+    """Evaluate one scenario into a full report.
+
+    The scenario was checked when it was built and is not checked again.
+    The report is checked instead: if one of its numbers is not finite
+    (the scenario's values overflow), :class:`ValidationError` names the
+    first one by its report path, e.g. ``emissions.baseline_emissions``.
+    """
     renewable = scenario.renewables.renewable_energy
 
     energy = evaluate_energy(scenario.throughput, scenario.shares, renewable)
@@ -88,7 +92,7 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         flags.append("renewable credit exceeds emissions: optimized emissions clamped to zero")
     flags.extend(scenario.notes)
 
-    return SimulationReport(
+    report = SimulationReport(
         scenario_name=scenario.name,
         energy=energy,
         emissions=emissions,
@@ -98,6 +102,30 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         objective=objective,
         flags=tuple(flags),
     )
+    _reject_non_finite(report)
+    return report
+
+
+def _reject_non_finite(report: SimulationReport) -> None:
+    """Raise naming the first inf or NaN in the report."""
+    e = report.energy
+    for section, record in (
+        ("energy", e),
+        ("energy.baseline_by_sector", e.baseline_by_sector),
+        ("emissions", report.emissions),
+        ("generation", report.generation),
+        ("assignment", report.assignment),
+        ("costs", report.costs),
+        ("objective", report.objective),
+    ):
+        if record is None:
+            continue
+        for name, value in vars(record).items():
+            if type(value) is float and not -_MAX <= value <= _MAX:
+                path = f"{section}.{name}"
+                raise ValidationError(
+                    path, f"{path} is {value}: the scenario's values overflow the report"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +228,8 @@ def report_from_json(data: bytes | str) -> SimulationReport:
         data = data.decode("utf-8")
     try:
         raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, an int beyond Python's digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ValidationError("report", f"invalid report JSON: {exc}") from None
     return report_from_dict(raw)
 

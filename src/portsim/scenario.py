@@ -1,10 +1,21 @@
-"""Domain types for a port scenario and their validation.
+"""Domain types for a port scenario, checked once when they are built.
 
 A scenario is the complete declarative description of one port case:
 throughput, sector split, emission factors, renewable supply, generation
 assets, costs, an optional AGV dispatch matrix and objective weights.
-Everything is immutable after construction; ``validate_scenario`` checks
-every invariant and reports the first violated field.
+Everything is immutable after construction, and a ``Scenario`` checks
+every invariant in ``__post_init__``: an invalid one cannot be built,
+whether it comes from a file, from ``Scenario(...)`` or from
+``dataclasses.replace``. The first violated field is reported by its
+dotted path (``pv_arrays[2].module_efficiency``), in field declaration
+order.
+
+Each record's numeric fields are declared once, in ``*_RULES`` tables of
+``name -> (low, high, wording)``. A value passes on one comparison,
+``type(v) is float and low <= v <= high``, which also fails for NaN and
+the infinities; only a value that fails it takes the slow path, which
+accepts an int in range or raises with the field path and message.
+Parsing, checking and ``scenario_to_dict`` all read the same tables.
 
 Scenario files are JSON with keys named exactly like the dataclass fields
 below. Unknown keys are rejected rather than ignored, so a typo in a file
@@ -18,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -29,8 +41,11 @@ from .objective import ObjectiveWeights
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Collection, Iterable
     from os import PathLike
     from typing import Any
+
+    _Rules = dict[str, tuple[float, float, str]]
 
 #: Sector shares must sum to 1 within this tolerance; inputs are
 #: human-authored decimals, so anything larger is a typo.
@@ -39,6 +54,9 @@ SHARE_SUM_TOLERANCE = 1e-9
 #: Relative tolerance for agreement between a stated renewable supply and
 #: the value modeled from the scenario's PV/wind assets.
 MODELED_SUPPLY_TOLERANCE = 1e-6
+
+_MAX = sys.float_info.max
+_TINY = 5e-324  # the smallest positive float
 
 
 class RenewableSource(str, Enum):
@@ -215,73 +233,126 @@ class Scenario:
     objective_weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     notes: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        _check_scenario(self)
+
 
 # ---------------------------------------------------------------------------
-# Validation
+# Checks: one comparison per value, and a slow path only when it fails
 # ---------------------------------------------------------------------------
 
 
 def _number(value: Any, field_name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(field_name, f"{field_name} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValidationError(
+            field_name, f"{field_name} must be finite, got an integer too large for a float"
+        ) from None
     if not math.isfinite(value):
         raise ValidationError(field_name, f"{field_name} must be finite, got {value}")
     return value
 
 
-def _non_negative(value: Any, field_name: str) -> float:
+def _out_of_range(value: Any, field_name: str, low: float, high: float, bounds: str) -> None:
+    """Slow path of a range check: accept an int in range, else raise."""
     value = _number(value, field_name)
-    if value < 0:
+    if not low <= value <= high:
+        raise ValidationError(field_name, f"{field_name} must be {bounds}, got {value:.12g}")
+
+
+# Ranges as (low, high, wording): ``low <= v <= high`` is the whole test.
+_NON_NEGATIVE = (0.0, _MAX, "non-negative")
+_FRACTION = (0.0, 1.0, "within [0, 1]")
+_POSITIVE = (_TINY, _MAX, "positive")
+_BETZ = (_TINY, renewables_model.BETZ_LIMIT, f"within (0, {renewables_model.BETZ_LIMIT}]")
+
+# Each record's numeric fields and their ranges, in declaration order.
+_THROUGHPUT_RULES = dict(teu_per_year=_NON_NEGATIVE, unit_energy=_NON_NEGATIVE)
+_SHARE_RULES = dict(
+    equipment_share=_FRACTION, transport_share=_FRACTION, buildings_share=_FRACTION
+)
+_FACTOR_RULES = dict(
+    equipment_factor=_NON_NEGATIVE,
+    transport_factor=_NON_NEGATIVE,
+    buildings_factor=_NON_NEGATIVE,
+    grid_factor=_NON_NEGATIVE,
+)
+_SUPPLY_RULES = dict(renewable_energy=_NON_NEGATIVE, new_green_energy=_NON_NEGATIVE)
+_PV_RULES = dict(
+    panel_area=_NON_NEGATIVE,
+    irradiance=_NON_NEGATIVE,
+    module_efficiency=_FRACTION,
+    peak_power=_NON_NEGATIVE,
+    sun_hours=_NON_NEGATIVE,
+    performance_ratio=_FRACTION,
+)
+_WIND_RULES = dict(
+    air_density=_POSITIVE,
+    swept_area=_NON_NEGATIVE,
+    wind_speed=_NON_NEGATIVE,
+    power_coefficient=_BETZ,
+    average_power=_NON_NEGATIVE,
+    operating_hours=_NON_NEGATIVE,
+)
+_COST_RULES = dict(baseline_cost_per_teu=_NON_NEGATIVE, optimized_cost_per_teu=_NON_NEGATIVE)
+_WEIGHT_RULES = dict(
+    w_emissions=_NON_NEGATIVE,
+    w_energy=_NON_NEGATIVE,
+    w_dispatch=_NON_NEGATIVE,
+    w_renewables=_NON_NEGATIVE,
+    norm_emissions=_POSITIVE,
+    norm_energy=_POSITIVE,
+    norm_dispatch=_POSITIVE,
+    norm_renewables=_POSITIVE,
+)
+
+
+def _check_record(record: Any, rules: _Rules, where: str) -> None:
+    values = record.__dict__
+    for name, (low, high, bounds) in rules.items():
+        value = values[name]
+        if type(value) is not float or not low <= value <= high:
+            _out_of_range(value, f"{where}.{name}", low, high, bounds)
+
+
+def _modeled_supply(
+    pv_arrays: Iterable[PvArraySpec], wind_turbines: Iterable[WindTurbineSpec]
+) -> float:
+    try:
+        return renewables_model.annual_generation(pv_arrays, wind_turbines).total_annual_mwh
+    except (OverflowError, ValueError):  # math.fsum past the float range, or inf - inf
         raise ValidationError(
-            field_name, f"{field_name} must be non-negative, got {value:.12g}"
-        )
-    return value
+            "renewables.renewable_energy",
+            "renewables.renewable_energy must be finite, but the PV/wind assets "
+            "model more than the largest float",
+        ) from None
 
 
-def _fraction(value: Any, field_name: str) -> float:
-    value = _number(value, field_name)
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(
-            field_name, f"{field_name} must be within [0, 1], got {value:.12g}"
-        )
-    return value
-
-
-def validate_scenario(scenario: Scenario) -> Scenario:
-    """Check every invariant; return the scenario unchanged if all hold.
-
-    Raises :class:`ValidationError` naming the first violated field, in
-    field declaration order. Validation is deterministic and idempotent.
-    """
+def _check_scenario(scenario: Scenario) -> None:
+    """Raise :class:`ValidationError` naming the first violated field."""
     if not isinstance(scenario.name, str) or not scenario.name:
         raise ValidationError("name", "name must be a non-empty string")
 
     t = scenario.throughput
-    _non_negative(t.teu_per_year, "throughput.teu_per_year")
-    _non_negative(t.unit_energy, "throughput.unit_energy")
+    _check_record(t, _THROUGHPUT_RULES, "throughput")
     if not math.isfinite(t.teu_per_year * t.unit_energy):
         raise ValidationError(
             "throughput", "implied total energy teu_per_year * unit_energy overflows"
         )
 
     s = scenario.shares
-    _fraction(s.equipment_share, "shares.equipment_share")
-    _fraction(s.transport_share, "shares.transport_share")
-    _fraction(s.buildings_share, "shares.buildings_share")
+    _check_record(s, _SHARE_RULES, "shares")
     share_sum = s.equipment_share + s.transport_share + s.buildings_share
     if abs(share_sum - 1.0) > SHARE_SUM_TOLERANCE:
         raise ValidationError("shares", f"shares sum to {share_sum:.12g}")
 
-    f = scenario.factors
-    _non_negative(f.equipment_factor, "factors.equipment_factor")
-    _non_negative(f.transport_factor, "factors.transport_factor")
-    _non_negative(f.buildings_factor, "factors.buildings_factor")
-    _non_negative(f.grid_factor, "factors.grid_factor")
+    _check_record(scenario.factors, _FACTOR_RULES, "factors")
 
     r = scenario.renewables
-    _non_negative(r.renewable_energy, "renewables.renewable_energy")
-    _non_negative(r.new_green_energy, "renewables.new_green_energy")
+    _check_record(r, _SUPPLY_RULES, "renewables")
     if not isinstance(r.source, RenewableSource):
         raise ValidationError(
             "renewables.source",
@@ -289,38 +360,12 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         )
 
     for i, pv in enumerate(scenario.pv_arrays):
-        prefix = f"pv_arrays[{i}]"
-        _non_negative(pv.panel_area, f"{prefix}.panel_area")
-        _non_negative(pv.irradiance, f"{prefix}.irradiance")
-        _fraction(pv.module_efficiency, f"{prefix}.module_efficiency")
-        _non_negative(pv.peak_power, f"{prefix}.peak_power")
-        _non_negative(pv.sun_hours, f"{prefix}.sun_hours")
-        _fraction(pv.performance_ratio, f"{prefix}.performance_ratio")
-
+        _check_record(pv, _PV_RULES, f"pv_arrays[{i}]")
     for i, wt in enumerate(scenario.wind_turbines):
-        prefix = f"wind_turbines[{i}]"
-        density = _number(wt.air_density, f"{prefix}.air_density")
-        if density <= 0:
-            raise ValidationError(
-                f"{prefix}.air_density",
-                f"{prefix}.air_density must be positive, got {density:.12g}",
-            )
-        _non_negative(wt.swept_area, f"{prefix}.swept_area")
-        _non_negative(wt.wind_speed, f"{prefix}.wind_speed")
-        cp = _number(wt.power_coefficient, f"{prefix}.power_coefficient")
-        if not 0.0 < cp <= renewables_model.BETZ_LIMIT:
-            raise ValidationError(
-                f"{prefix}.power_coefficient",
-                f"{prefix}.power_coefficient must be within "
-                f"(0, {renewables_model.BETZ_LIMIT}], got {cp:.12g}",
-            )
-        _non_negative(wt.average_power, f"{prefix}.average_power")
-        _non_negative(wt.operating_hours, f"{prefix}.operating_hours")
+        _check_record(wt, _WIND_RULES, f"wind_turbines[{i}]")
 
     if r.source is RenewableSource.FROM_PV_WIND_MODELS:
-        modeled = renewables_model.annual_generation(
-            scenario.pv_arrays, scenario.wind_turbines
-        ).total_annual_mwh
+        modeled = _modeled_supply(scenario.pv_arrays, scenario.wind_turbines)
         if not math.isclose(
             r.renewable_energy, modeled, rel_tol=MODELED_SUPPLY_TOLERANCE, abs_tol=0.0
         ):
@@ -330,20 +375,10 @@ def validate_scenario(scenario: Scenario) -> Scenario:
                 f"PV/wind assets model {modeled:.12g} MWh/yr",
             )
 
-    c = scenario.costs
-    _non_negative(c.baseline_cost_per_teu, "costs.baseline_cost_per_teu")
-    _non_negative(c.optimized_cost_per_teu, "costs.optimized_cost_per_teu")
+    _check_record(scenario.costs, _COST_RULES, "costs")
 
     w = scenario.objective_weights
-    for name in ("w_emissions", "w_energy", "w_dispatch", "w_renewables"):
-        _non_negative(getattr(w, name), f"objective_weights.{name}")
-    for name in ("norm_emissions", "norm_energy", "norm_dispatch", "norm_renewables"):
-        value = _number(getattr(w, name), f"objective_weights.{name}")
-        if value <= 0:
-            raise ValidationError(
-                f"objective_weights.{name}",
-                f"objective_weights.{name} must be positive, got {value:.12g}",
-            )
+    _check_record(w, _WEIGHT_RULES, "objective_weights")
     if not isinstance(w.renewables_reduce_score, bool):
         raise ValidationError(
             "objective_weights.renewables_reduce_score",
@@ -354,6 +389,14 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         if not isinstance(note, str):
             raise ValidationError(f"notes[{i}]", f"notes[{i}] must be a string")
 
+
+def validate_scenario(scenario: Scenario) -> Scenario:
+    """Return ``scenario`` unchanged.
+
+    Every ``Scenario`` is checked when it is built (see the module
+    docstring), so there is nothing left to check here; the function stays
+    for callers that validate explicitly.
+    """
     return scenario
 
 
@@ -362,8 +405,21 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(raw: Mapping[str, Any], allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(raw, Mapping):
+_SCENARIO_REQUIRED = ("name", "throughput", "shares", "factors", "renewables", "costs")
+_SCENARIO_KEYS = {
+    *_SCENARIO_REQUIRED,
+    "pv_arrays", "wind_turbines", "dispatch_matrix", "objective_weights", "notes",
+}
+_SUPPLY_KEYS = {*_SUPPLY_RULES, "source"}
+_PV_REQUIRED = ("panel_area", "module_efficiency")
+_WIND_REQUIRED = ("swept_area", "wind_speed", "operating_hours")
+_WEIGHT_KEYS = {*_WEIGHT_RULES, "renewables_reduce_score"}
+
+
+def _check_keys(
+    raw: Mapping[str, Any], allowed: Collection[str], required: Iterable[str], where: str
+) -> None:
+    if type(raw) is not dict and not isinstance(raw, Mapping):
         raise ValidationError(where, f"{where} must be an object")
     for key in raw:
         if key not in allowed:
@@ -373,34 +429,30 @@ def _check_keys(raw: Mapping[str, Any], allowed: set[str], required: set[str], w
             raise ValidationError(f"{where}.{key}", f"missing required key '{key}' in {where}")
 
 
-def _parse_throughput(raw: Mapping[str, Any]) -> ThroughputSpec:
-    keys = {"teu_per_year", "unit_energy"}
-    _check_keys(raw, keys, keys, "throughput")
-    return ThroughputSpec(
-        teu_per_year=_number(raw["teu_per_year"], "throughput.teu_per_year"),
-        unit_energy=_number(raw["unit_energy"], "throughput.unit_energy"),
-    )
+def _parse_numbers(
+    raw: Mapping[str, Any],
+    rules: _Rules,
+    where: str,
+    required: Iterable[str] | None = None,
+    allowed: Collection[str] | None = None,
+) -> dict[str, Any]:
+    """The keys of ``rules`` present in ``raw``, as finite floats.
 
-
-def _parse_shares(raw: Mapping[str, Any]) -> SectorShares:
-    keys = {"equipment_share", "transport_share", "buildings_share"}
-    _check_keys(raw, keys, keys, "shares")
-    return SectorShares(
-        equipment_share=_number(raw["equipment_share"], "shares.equipment_share"),
-        transport_share=_number(raw["transport_share"], "shares.transport_share"),
-        buildings_share=_number(raw["buildings_share"], "shares.buildings_share"),
-    )
-
-
-def _parse_factors(raw: Mapping[str, Any]) -> EmissionFactorSet:
-    keys = {"equipment_factor", "transport_factor", "buildings_factor", "grid_factor"}
-    _check_keys(raw, keys, keys, "factors")
-    return EmissionFactorSet(
-        equipment_factor=_number(raw["equipment_factor"], "factors.equipment_factor"),
-        transport_factor=_number(raw["transport_factor"], "factors.transport_factor"),
-        buildings_factor=_number(raw["buildings_factor"], "factors.buildings_factor"),
-        grid_factor=_number(raw["grid_factor"], "factors.grid_factor"),
-    )
+    By default every key of ``rules`` is required and no other is allowed.
+    Only types and finiteness are checked here; ranges are checked when
+    the Scenario is built, so errors keep their established order.
+    """
+    if required is None:
+        required = rules
+    _check_keys(raw, rules if allowed is None else allowed, required, where)
+    values: dict[str, Any] = {}
+    for name in rules:
+        if name in raw:
+            value = raw[name]
+            if type(value) is not float or not -_MAX <= value <= _MAX:
+                value = _number(value, f"{where}.{name}")
+            values[name] = value
+    return values
 
 
 def _parse_renewables(
@@ -408,8 +460,7 @@ def _parse_renewables(
     pv_arrays: tuple[PvArraySpec, ...],
     wind_turbines: tuple[WindTurbineSpec, ...],
 ) -> RenewableSupplySpec:
-    allowed = {"renewable_energy", "source", "new_green_energy"}
-    _check_keys(raw, allowed, {"source"}, "renewables")
+    _check_keys(raw, _SUPPLY_KEYS, ("source",), "renewables")
     source_raw = raw["source"]
     try:
         source = RenewableSource(source_raw)
@@ -423,9 +474,7 @@ def _parse_renewables(
         renewable_energy = _number(raw["renewable_energy"], "renewables.renewable_energy")
     elif source is RenewableSource.FROM_PV_WIND_MODELS:
         # Derive the supply from the scenario's own generation assets.
-        renewable_energy = renewables_model.annual_generation(
-            pv_arrays, wind_turbines
-        ).total_annual_mwh
+        renewable_energy = _modeled_supply(pv_arrays, wind_turbines)
     else:
         raise ValidationError(
             "renewables.renewable_energy",
@@ -440,52 +489,8 @@ def _parse_renewables(
     )
 
 
-def _parse_pv(raw: Mapping[str, Any], where: str) -> PvArraySpec:
-    allowed = {
-        "panel_area", "irradiance", "module_efficiency",
-        "peak_power", "sun_hours", "performance_ratio",
-    }
-    _check_keys(raw, allowed, {"panel_area", "module_efficiency"}, where)
-    kwargs: dict[str, float] = {}
-    for key in allowed:
-        if key in raw:
-            kwargs[key] = _number(raw[key], f"{where}.{key}")
-    return PvArraySpec.create(**kwargs)
-
-
-def _parse_wind(raw: Mapping[str, Any], where: str) -> WindTurbineSpec:
-    allowed = {
-        "air_density", "swept_area", "wind_speed",
-        "power_coefficient", "average_power", "operating_hours",
-    }
-    _check_keys(raw, allowed, {"swept_area", "wind_speed", "operating_hours"}, where)
-    kwargs: dict[str, float] = {}
-    for key in allowed:
-        if key in raw:
-            kwargs[key] = _number(raw[key], f"{where}.{key}")
-    return WindTurbineSpec.create(**kwargs)
-
-
-def _parse_costs(raw: Mapping[str, Any]) -> CostParameters:
-    keys = {"baseline_cost_per_teu", "optimized_cost_per_teu"}
-    _check_keys(raw, keys, keys, "costs")
-    return CostParameters(
-        baseline_cost_per_teu=_number(raw["baseline_cost_per_teu"], "costs.baseline_cost_per_teu"),
-        optimized_cost_per_teu=_number(raw["optimized_cost_per_teu"], "costs.optimized_cost_per_teu"),
-    )
-
-
 def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
-    allowed = {
-        "w_emissions", "w_energy", "w_dispatch", "w_renewables",
-        "norm_emissions", "norm_energy", "norm_dispatch", "norm_renewables",
-        "renewables_reduce_score",
-    }
-    _check_keys(raw, allowed, set(), "objective_weights")
-    kwargs: dict[str, Any] = {}
-    for key in allowed - {"renewables_reduce_score"}:
-        if key in raw:
-            kwargs[key] = _number(raw[key], f"objective_weights.{key}")
+    kwargs = _parse_numbers(raw, _WEIGHT_RULES, "objective_weights", (), _WEIGHT_KEYS)
     if "renewables_reduce_score" in raw:
         flag = raw["renewables_reduce_score"]
         if not isinstance(flag, bool):
@@ -497,14 +502,23 @@ def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
     return ObjectiveWeights(**kwargs)
 
 
+def _finite_cells(rows: list[list[Any]]) -> bool:
+    for row in rows:
+        for cell in row:
+            if (type(cell) is not float and type(cell) is not int) or not -_MAX <= cell <= _MAX:
+                return False
+    return True
+
+
 def _parse_matrix(raw: Any) -> CostMatrix | None:
     if raw is None:
         return None
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise ValidationError("dispatch_matrix", "dispatch_matrix must be a list of rows")
-    for i, row in enumerate(raw):
-        for j, cell in enumerate(row):
-            _number(cell, f"dispatch_matrix[{i}][{j}]")
+    if not _finite_cells(raw):
+        for i, row in enumerate(raw):
+            for j, cell in enumerate(row):
+                _number(cell, f"dispatch_matrix[{i}][{j}]")
     try:
         return CostMatrix.from_rows(raw)
     except DispatchError as exc:
@@ -512,17 +526,13 @@ def _parse_matrix(raw: Any) -> CostMatrix | None:
 
 
 def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
-    """Build a Scenario from a parsed JSON object. Rejects unknown keys.
+    """Build a checked Scenario from a parsed JSON object.
 
-    Only structural and type errors are raised here; value invariants are
-    the job of :func:`validate_scenario`.
+    Unknown keys, missing keys and values of the wrong type are rejected
+    while parsing; every other invariant is checked as the Scenario is
+    built. Either way a :class:`ValidationError` names the field.
     """
-    allowed = {
-        "name", "throughput", "shares", "factors", "renewables", "costs",
-        "pv_arrays", "wind_turbines", "dispatch_matrix", "objective_weights", "notes",
-    }
-    required = {"name", "throughput", "shares", "factors", "renewables", "costs"}
-    _check_keys(raw, allowed, required, "scenario")
+    _check_keys(raw, _SCENARIO_KEYS, _SCENARIO_REQUIRED, "scenario")
 
     name = raw["name"]
     if not isinstance(name, str):
@@ -531,13 +541,19 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     pv_raw = raw.get("pv_arrays", [])
     if not isinstance(pv_raw, list):
         raise ValidationError("pv_arrays", "pv_arrays must be a list")
-    pv_arrays = tuple(_parse_pv(item, f"pv_arrays[{i}]") for i, item in enumerate(pv_raw))
+    pv_arrays = tuple(
+        PvArraySpec.create(**_parse_numbers(item, _PV_RULES, f"pv_arrays[{i}]", _PV_REQUIRED))
+        for i, item in enumerate(pv_raw)
+    )
 
     wind_raw = raw.get("wind_turbines", [])
     if not isinstance(wind_raw, list):
         raise ValidationError("wind_turbines", "wind_turbines must be a list")
     wind_turbines = tuple(
-        _parse_wind(item, f"wind_turbines[{i}]") for i, item in enumerate(wind_raw)
+        WindTurbineSpec.create(
+            **_parse_numbers(item, _WIND_RULES, f"wind_turbines[{i}]", _WIND_REQUIRED)
+        )
+        for i, item in enumerate(wind_raw)
     )
 
     notes_raw = raw.get("notes", [])
@@ -546,11 +562,13 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
 
     return Scenario(
         name=name,
-        throughput=_parse_throughput(raw["throughput"]),
-        shares=_parse_shares(raw["shares"]),
-        factors=_parse_factors(raw["factors"]),
+        throughput=ThroughputSpec(
+            **_parse_numbers(raw["throughput"], _THROUGHPUT_RULES, "throughput")
+        ),
+        shares=SectorShares(**_parse_numbers(raw["shares"], _SHARE_RULES, "shares")),
+        factors=EmissionFactorSet(**_parse_numbers(raw["factors"], _FACTOR_RULES, "factors")),
         renewables=_parse_renewables(raw["renewables"], pv_arrays, wind_turbines),
-        costs=_parse_costs(raw["costs"]),
+        costs=CostParameters(**_parse_numbers(raw["costs"], _COST_RULES, "costs")),
         pv_arrays=pv_arrays,
         wind_turbines=wind_turbines,
         dispatch_matrix=_parse_matrix(raw.get("dispatch_matrix")),
@@ -559,71 +577,35 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     )
 
 
+def _numbers(record: Any, rules: _Rules) -> dict[str, Any]:
+    return {name: getattr(record, name) for name in rules}
+
+
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """Inverse of :func:`scenario_from_dict`; round-trips exactly."""
+    r = scenario.renewables
+    w = scenario.objective_weights
     return {
         "name": scenario.name,
-        "throughput": {
-            "teu_per_year": scenario.throughput.teu_per_year,
-            "unit_energy": scenario.throughput.unit_energy,
-        },
-        "shares": {
-            "equipment_share": scenario.shares.equipment_share,
-            "transport_share": scenario.shares.transport_share,
-            "buildings_share": scenario.shares.buildings_share,
-        },
-        "factors": {
-            "equipment_factor": scenario.factors.equipment_factor,
-            "transport_factor": scenario.factors.transport_factor,
-            "buildings_factor": scenario.factors.buildings_factor,
-            "grid_factor": scenario.factors.grid_factor,
-        },
+        "throughput": _numbers(scenario.throughput, _THROUGHPUT_RULES),
+        "shares": _numbers(scenario.shares, _SHARE_RULES),
+        "factors": _numbers(scenario.factors, _FACTOR_RULES),
         "renewables": {
-            "renewable_energy": scenario.renewables.renewable_energy,
-            "source": scenario.renewables.source.value,
-            "new_green_energy": scenario.renewables.new_green_energy,
+            "renewable_energy": r.renewable_energy,
+            "source": r.source.value,
+            "new_green_energy": r.new_green_energy,
         },
-        "costs": {
-            "baseline_cost_per_teu": scenario.costs.baseline_cost_per_teu,
-            "optimized_cost_per_teu": scenario.costs.optimized_cost_per_teu,
-        },
-        "pv_arrays": [
-            {
-                "panel_area": pv.panel_area,
-                "irradiance": pv.irradiance,
-                "module_efficiency": pv.module_efficiency,
-                "peak_power": pv.peak_power,
-                "sun_hours": pv.sun_hours,
-                "performance_ratio": pv.performance_ratio,
-            }
-            for pv in scenario.pv_arrays
-        ],
-        "wind_turbines": [
-            {
-                "air_density": wt.air_density,
-                "swept_area": wt.swept_area,
-                "wind_speed": wt.wind_speed,
-                "power_coefficient": wt.power_coefficient,
-                "average_power": wt.average_power,
-                "operating_hours": wt.operating_hours,
-            }
-            for wt in scenario.wind_turbines
-        ],
+        "costs": _numbers(scenario.costs, _COST_RULES),
+        "pv_arrays": [_numbers(pv, _PV_RULES) for pv in scenario.pv_arrays],
+        "wind_turbines": [_numbers(wt, _WIND_RULES) for wt in scenario.wind_turbines],
         "dispatch_matrix": (
             None
             if scenario.dispatch_matrix is None
             else [list(row) for row in scenario.dispatch_matrix.entries]
         ),
         "objective_weights": {
-            "w_emissions": scenario.objective_weights.w_emissions,
-            "w_energy": scenario.objective_weights.w_energy,
-            "w_dispatch": scenario.objective_weights.w_dispatch,
-            "w_renewables": scenario.objective_weights.w_renewables,
-            "norm_emissions": scenario.objective_weights.norm_emissions,
-            "norm_energy": scenario.objective_weights.norm_energy,
-            "norm_dispatch": scenario.objective_weights.norm_dispatch,
-            "norm_renewables": scenario.objective_weights.norm_renewables,
-            "renewables_reduce_score": scenario.objective_weights.renewables_reduce_score,
+            **_numbers(w, _WEIGHT_RULES),
+            "renewables_reduce_score": w.renewables_reduce_score,
         },
         "notes": list(scenario.notes),
     }
@@ -636,16 +618,17 @@ def scenario_to_json(scenario: Scenario) -> str:
 def scenario_from_json(text: str) -> Scenario:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, an int beyond Python's digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ValidationError("scenario", f"invalid JSON: {exc}") from None
     return scenario_from_dict(raw)
 
 
 def load_scenario(path: str | PathLike[str]) -> Scenario:
-    """Parse and fully validate a scenario file."""
+    """Read a scenario file; the Scenario it returns is checked and valid."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    return validate_scenario(scenario_from_json(text))
+    return scenario_from_json(text)
 
 
 def with_shares(scenario: Scenario, shares: SectorShares) -> Scenario:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -147,3 +148,59 @@ def test_cli_import_leaves_out_pathlib_and_typing():
         [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"throughput": {"teu_per_year": 10**400, "unit_energy": 1.0}}, "throughput.teu_per_year"),
+        ({"dispatch_matrix": [[1, 2], [3, 10**400]]}, r"dispatch_matrix\[1\]\[1\]"),
+    ],
+)
+def test_integer_beyond_float_range_is_a_one_line_error(tmp_path, capsys, overrides, field):
+    path = write_scenario(tmp_path, **overrides)
+    assert main(["run", str(path)]) == 1
+    err = one_line_error(capsys)
+    message = "must be finite, got an integer too large for a float"
+    assert re.fullmatch(f"scenario: {field} {message}\n", err)
+
+
+@pytest.mark.parametrize(
+    "text", ['{"name": ' + "9" * 5000 + "}", "[" * 100_000], ids=["digits", "nesting"]
+)
+def test_json_beyond_parser_limits_is_invalid_json(tmp_path, capsys, text):
+    path = tmp_path / "limits.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert one_line_error(capsys).startswith("scenario: invalid JSON: ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "factors, costs, field",
+    [
+        ({"buildings_factor": 1e300}, {}, "emissions.baseline_emissions"),
+        ({}, {"baseline_cost_per_teu": 1e300}, "costs.total_baseline"),
+    ],
+)
+def test_overflowing_report_is_rejected(tmp_path, capsys, fmt, factors, costs, field):
+    raw = make_scenario_dict(throughput={"teu_per_year": 1e10, "unit_energy": 1e10})
+    raw["factors"].update(factors)
+    raw["costs"].update(costs)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--format", fmt]) == 1
+    assert one_line_error(capsys).startswith(f"scenario: {field} is inf: ")
+
+
+def test_write_error_has_its_own_message(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.json"
+    assert main(["run", "yangshan-phase4", "--output", str(out)]) == 1
+    assert one_line_error(capsys).startswith("cli: cannot write output: ")

@@ -127,6 +127,11 @@ def test_non_finite_entries_rejected():
         CostMatrix.from_rows([[1.0, math.inf], [2.0, 3.0]])
 
 
+def test_integer_beyond_float_range_rejected():
+    with pytest.raises(DispatchError, match="not finite"):
+        CostMatrix.from_rows([[10**400]])
+
+
 def test_negative_entries_rejected():
     with pytest.raises(DispatchError, match="negative"):
         CostMatrix.from_rows([[1.0, -0.5], [2.0, 3.0]])

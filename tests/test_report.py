@@ -3,6 +3,7 @@ import json
 import pytest
 
 from portsim import (
+    ValidationError,
     get_preset,
     report_from_json,
     run_scenario,
@@ -167,3 +168,19 @@ def test_summary_uses_presentation_rounding(yangshan_report):
     assert "0.75 -> 0.79 kg CO2/MWh" in text
     assert "$472.5M" in text
     assert "1050" in text
+
+
+def test_overflowing_report_names_its_first_non_finite_number():
+    raw = make_scenario_dict(throughput={"teu_per_year": 1e10, "unit_energy": 1e10})
+    raw["factors"]["buildings_factor"] = 1e300
+    scenario = scenario_from_dict(raw)  # every input is in range
+    with pytest.raises(ValidationError) as excinfo:
+        run_scenario(scenario)
+    assert excinfo.value.field == "emissions.baseline_emissions"
+    assert str(excinfo.value).startswith("emissions.baseline_emissions is inf: ")
+
+
+@pytest.mark.parametrize("text", ["{not json", "9" * 5000, "[" * 100_000])
+def test_unreadable_report_json_is_a_validation_error(text):
+    with pytest.raises(ValidationError, match="invalid report JSON"):
+        report_from_json(text)

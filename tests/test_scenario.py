@@ -1,21 +1,34 @@
+import copy
+import json
 import math
+import sys
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import portsim.scenario as scenario_module
 from portsim import (
+    EmissionFactorSet,
+    ObjectiveWeights,
     PvArraySpec,
     RenewableSource,
+    Scenario,
+    SectorShares,
+    ThroughputSpec,
     ValidationError,
     WindTurbineSpec,
     annual_generation,
     get_preset,
+    run_scenario,
     scenario_from_dict,
     scenario_from_json,
     scenario_to_json,
     validate_scenario,
 )
+from portsim.cli import main
+from portsim.scenario import with_shares, with_weights
 from conftest import make_scenario_dict
 
 
@@ -203,6 +216,16 @@ def test_modeled_mode_consistent_value_accepted():
     assert scenario.renewables.source is RenewableSource.FROM_PV_WIND_MODELS
 
 
+def test_modeled_supply_beyond_float_range_rejected():
+    # each array models about 1e308 kWh, so their sum leaves the float range
+    raw = make_scenario_dict(
+        renewables={"source": "from_pv_wind_models"},
+        pv_arrays=[{"panel_area": 1e300, "module_efficiency": 0.5, "sun_hours": 2.5e8}] * 2,
+    )
+    with pytest.raises(ValidationError, match="renewables.renewable_energy must be finite"):
+        scenario_from_dict(raw)
+
+
 def test_explicit_mode_requires_renewable_energy():
     raw = make_scenario_dict(renewables={"source": "explicit"})
     with pytest.raises(ValidationError, match="renewable_energy"):
@@ -264,3 +287,235 @@ def test_round_trip_property(teu, unit, a, b, renewable):
     )
     scenario = validate_scenario(scenario_from_dict(raw))
     assert validate_scenario(scenario_from_json(scenario_to_json(scenario))) == scenario
+
+
+# ---------------------------------------------------------------------------
+# A Scenario is checked once, when it is built
+# ---------------------------------------------------------------------------
+
+
+def count_checks(monkeypatch):
+    calls = []
+    check = scenario_module._check_scenario
+
+    def counting(scenario):
+        calls.append(scenario.name)
+        check(scenario)
+
+    monkeypatch.setattr(scenario_module, "_check_scenario", counting)
+    return calls
+
+
+def test_cli_run_checks_the_scenario_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(make_scenario_dict()))
+    calls = count_checks(monkeypatch)
+    assert main(["run", str(path)]) == 0
+    assert calls == ["test-port"]
+
+
+def test_library_run_checks_the_preset_once(monkeypatch):
+    calls = count_checks(monkeypatch)
+    run_scenario(get_preset("yangshan-phase4"))
+    assert calls == ["yangshan-phase4"]
+
+
+def test_validate_scenario_returns_its_argument(minimal_scenario):
+    assert validate_scenario(minimal_scenario) is minimal_scenario
+
+
+def test_int_values_are_accepted_when_built_by_hand(minimal_scenario):
+    scenario = replace(minimal_scenario, throughput=ThroughputSpec(1000, 100))
+    assert scenario.throughput.teu_per_year == 1000
+
+
+HAND_BUILT_DEFECTS = [
+    (
+        lambda s: replace(s, throughput=ThroughputSpec(-1.0, 100.0)),
+        "throughput.teu_per_year",
+        "throughput.teu_per_year must be non-negative, got -1",
+    ),
+    (
+        lambda s: with_shares(s, SectorShares(0.5, 0.3, 0.3)),
+        "shares",
+        "shares sum to 1.1",
+    ),
+    (
+        lambda s: replace(s, name=""),
+        "name",
+        "name must be a non-empty string",
+    ),
+    (
+        lambda s: replace(
+            s,
+            pv_arrays=(
+                PvArraySpec.create(panel_area=10.0, module_efficiency=0.2),
+                PvArraySpec.create(panel_area=10.0, module_efficiency=1.5),
+            ),
+        ),
+        "pv_arrays[1].module_efficiency",
+        "pv_arrays[1].module_efficiency must be within [0, 1], got 1.5",
+    ),
+    (
+        lambda s: replace(
+            s,
+            wind_turbines=(
+                WindTurbineSpec.create(
+                    swept_area=10.0, wind_speed=5.0, operating_hours=10.0, air_density=0.0
+                ),
+            ),
+        ),
+        "wind_turbines[0].air_density",
+        "wind_turbines[0].air_density must be positive, got 0",
+    ),
+    (
+        lambda s: with_weights(s, ObjectiveWeights(norm_energy=0.0)),
+        "objective_weights.norm_energy",
+        "objective_weights.norm_energy must be positive, got 0",
+    ),
+    (
+        lambda s: replace(s, notes=("fine", 3)),
+        "notes[1]",
+        "notes[1] must be a string",
+    ),
+    (
+        lambda s: Scenario(
+            name="hand-built",
+            throughput=s.throughput,
+            shares=s.shares,
+            factors=EmissionFactorSet(0.5, 0.7, math.nan, 0.4),
+            renewables=s.renewables,
+            costs=s.costs,
+        ),
+        "factors.buildings_factor",
+        "factors.buildings_factor must be finite, got nan",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, field, message", HAND_BUILT_DEFECTS)
+def test_invalid_scenario_cannot_be_built(minimal_scenario, build, field, message):
+    with pytest.raises(ValidationError) as excinfo:
+        build(minimal_scenario)
+    assert excinfo.value.field == field
+    assert str(excinfo.value) == message
+
+
+#: Every numeric field of FULL_SCENARIO: (path, record key, index, name, check).
+NUMERIC_FIELDS = (
+    [("throughput", None, name, "non_negative") for name in ("teu_per_year", "unit_energy")]
+    + [
+        ("shares", None, name, "fraction")
+        for name in ("equipment_share", "transport_share", "buildings_share")
+    ]
+    + [
+        ("factors", None, name, "non_negative")
+        for name in ("equipment_factor", "transport_factor", "buildings_factor", "grid_factor")
+    ]
+    + [
+        ("renewables", None, name, "non_negative")
+        for name in ("renewable_energy", "new_green_energy")
+    ]
+    + [
+        ("pv_arrays", 0, name, check)
+        for name, check in (
+            ("panel_area", "non_negative"),
+            ("irradiance", "non_negative"),
+            ("module_efficiency", "fraction"),
+            ("peak_power", "non_negative"),
+            ("sun_hours", "non_negative"),
+            ("performance_ratio", "fraction"),
+        )
+    ]
+    + [
+        ("wind_turbines", 0, name, check)
+        for name, check in (
+            ("air_density", "positive"),
+            ("swept_area", "non_negative"),
+            ("wind_speed", "non_negative"),
+            ("power_coefficient", "betz"),
+            ("average_power", "non_negative"),
+            ("operating_hours", "non_negative"),
+        )
+    ]
+    + [
+        ("costs", None, name, "non_negative")
+        for name in ("baseline_cost_per_teu", "optimized_cost_per_teu")
+    ]
+    + [
+        ("objective_weights", None, f"w_{name}", "non_negative")
+        for name in ("emissions", "energy", "dispatch", "renewables")
+    ]
+    + [
+        ("objective_weights", None, f"norm_{name}", "positive")
+        for name in ("emissions", "energy", "dispatch", "renewables")
+    ]
+)
+
+FULL_SCENARIO = make_scenario_dict(
+    renewables={"renewable_energy": 10000.0, "source": "explicit", "new_green_energy": 900.0},
+    pv_arrays=[
+        {"panel_area": 100.0, "irradiance": 0.9, "module_efficiency": 0.2,
+         "peak_power": 18.0, "sun_hours": 1000.0, "performance_ratio": 0.8}
+    ],
+    wind_turbines=[
+        {"air_density": 1.2, "swept_area": 50.0, "wind_speed": 8.0,
+         "power_coefficient": 0.4, "average_power": 12.0, "operating_hours": 3000.0}
+    ],
+    objective_weights={
+        "w_emissions": 1.0, "w_energy": 0.5, "w_dispatch": 2.0, "w_renewables": 1.0,
+        "norm_emissions": 10.0, "norm_energy": 1.0, "norm_dispatch": 3.0, "norm_renewables": 1.0,
+    },
+)
+
+BAD_VALUES = [math.nan, math.inf, -math.inf, True, "1.0", 10**400, -1, -0.5, 0.0, 0, 1.5, 2, 0.6]
+
+RANGE_MESSAGES = {
+    "non_negative": "must be non-negative",
+    "fraction": "must be within [0, 1]",
+    "positive": "must be positive",
+    "betz": "must be within (0, 0.593]",
+}
+
+
+def expected_message(check, value):
+    """The message start for a bad value, or None if the value is valid there."""
+    if isinstance(value, (bool, str)):
+        return "must be a number"
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return "must be finite, got an integer too large for a float"
+    if not math.isfinite(value):
+        return f"must be finite, got {float(value)}"
+    valid = {
+        "non_negative": value >= 0,
+        "fraction": 0 <= value <= 1,
+        "positive": value > 0,
+        "betz": 0 < value <= 0.593,
+    }[check]
+    return None if valid else f"{RANGE_MESSAGES[check]}, got"
+
+
+@given(st.sampled_from(NUMERIC_FIELDS), st.sampled_from(BAD_VALUES))
+def test_one_bad_value_is_rejected_at_its_path(spot, value):
+    record, index, name, check = spot
+    message = expected_message(check, value)
+    assume(message is not None)
+    path = f"{record}.{name}" if index is None else f"{record}[{index}].{name}"
+
+    raw = copy.deepcopy(FULL_SCENARIO)
+    (raw[record] if index is None else raw[record][index])[name] = value
+    with pytest.raises(ValidationError) as from_file:
+        scenario_from_dict(raw)
+    assert from_file.value.field == path
+    assert str(from_file.value).startswith(f"{path} {message}")
+
+    # The same value put in by hand is rejected the same way.
+    scenario = scenario_from_dict(FULL_SCENARIO)
+    if index is None:
+        changes = {record: replace(getattr(scenario, record), **{name: value})}
+    else:
+        changes = {record: (replace(getattr(scenario, record)[0], **{name: value}),)}
+    with pytest.raises(ValidationError) as by_hand:
+        replace(scenario, **changes)
+    assert by_hand.value.field == path
+    assert str(by_hand.value).startswith(f"{path} {message}")
