@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
+from ._record import replace
 from .dispatch import load_cost_matrix, solve_assignment
 from .errors import PortsimError
 from .presets import PRESET_SUMMARIES, get_preset, preset_names

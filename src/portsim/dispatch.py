@@ -4,8 +4,8 @@ The solver finds an exact optimum in O(n^3) for n = max(rows, cols):
 
 * Costs are scaled by one common power of two into Python ints (every
   float is m * 2**e), so dual potentials and every comparison are exact,
-  with no tolerance. ``total_cost`` is still the ``math.fsum`` of the
-  selected original entries.
+  with no tolerance. ``total_cost`` is the ``math.fsum`` of the selected
+  original entries (``DispatchError`` if it passes the float range).
 * A rectangular matrix is padded to square with all-zero rows (wide) or
   all-zero columns (tall). A perfect matching of the padded square covers
   every real row or every real column, which is the max-cardinality
@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DispatchError
 
 TYPE_CHECKING = False
@@ -46,7 +46,7 @@ if TYPE_CHECKING:
 ORACLE_MAX_SIZE = 10
 
 
-@dataclass(frozen=True)
+@record
 class CostMatrix:
     """Dense rectangular matrix of non-negative finite costs (km or generic).
 
@@ -93,7 +93,7 @@ class CostMatrix:
             ) from None
 
 
-@dataclass(frozen=True)
+@record
 class Assignment:
     """A validated solution: ``mapping[i]`` is the column assigned to row i,
     or ``None`` for rows left unassigned because columns ran out.
@@ -133,7 +133,7 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
             selected.append(row[j])
         else:
             mapping.append(None)
-    return Assignment(mapping=tuple(mapping), total_cost=math.fsum(selected))
+    return Assignment(mapping=tuple(mapping), total_cost=_total(selected))
 
 
 def brute_force_assignment(matrix: CostMatrix) -> Assignment:
@@ -159,7 +159,7 @@ def brute_force_assignment(matrix: CostMatrix) -> Assignment:
             best_perm = perm
     rows = matrix.entries
     return Assignment(
-        mapping=best_perm, total_cost=math.fsum(rows[i][best_perm[i]] for i in range(n))
+        mapping=best_perm, total_cost=_total(rows[i][best_perm[i]] for i in range(n))
     )
 
 
@@ -184,7 +184,7 @@ def assignment_cost(matrix: CostMatrix, mapping: Sequence[int | None]) -> float:
             raise DispatchError(f"mapping assigns column {j} to more than one row")
         seen.add(j)
         selected.append(matrix.entries[i][j])
-    return math.fsum(selected)
+    return _total(selected)
 
 
 def load_cost_matrix(path: str | PathLike[str]) -> CostMatrix:
@@ -202,6 +202,13 @@ def load_cost_matrix(path: str | PathLike[str]) -> CostMatrix:
     if not rows:
         raise DispatchError("matrix file contains no rows")
     return CostMatrix.from_rows(rows)
+
+
+def _total(selected: Iterable[float]) -> float:
+    try:
+        return math.fsum(selected)
+    except OverflowError:  # finite entries whose exact sum is too large for a float
+        raise DispatchError("total cost overflows") from None
 
 
 def _integer_costs(entries: tuple[tuple[float, ...], ...]) -> list[list[int]]:

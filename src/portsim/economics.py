@@ -8,12 +8,11 @@ converted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .scenario import CostParameters
 
 
-@dataclass(frozen=True)
+@record
 class CostReport:
     per_teu_baseline: float  # USD/TEU
     per_teu_optimized: float  # USD/TEU

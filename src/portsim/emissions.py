@@ -11,12 +11,11 @@ All energies are MWh, factors kg CO2/MWh, emissions kg CO2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .scenario import EmissionFactorSet, SectorEnergyBreakdown
 
 
-@dataclass(frozen=True)
+@record
 class EmissionsResult:
     baseline_emissions: float  # kg CO2
     optimized_emissions: float  # kg CO2

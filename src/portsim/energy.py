@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .scenario import SectorEnergyBreakdown, SectorShares, ThroughputSpec
 
 
-@dataclass(frozen=True)
+@record
 class EnergyResult:
     baseline_total: float  # MWh
     baseline_by_sector: SectorEnergyBreakdown

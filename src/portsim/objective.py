@@ -13,10 +13,11 @@ instead of subtracting it, for callers that want the strictly summed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import record
 
 
-@dataclass(frozen=True)
+@record
 class ObjectiveWeights:
     w_emissions: float = 1.0
     w_energy: float = 1.0
@@ -29,7 +30,7 @@ class ObjectiveWeights:
     renewables_reduce_score: bool = True
 
 
-@dataclass(frozen=True)
+@record
 class ObjectiveScore:
     """Score total plus the four signed, weighted, normalized terms."""
 

@@ -8,7 +8,8 @@ emissions engines run on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -32,7 +33,7 @@ STANDARD_AIR_DENSITY = 1.225
 DEFAULT_POWER_COEFFICIENT = 0.4
 
 
-@dataclass(frozen=True)
+@record
 class GenerationResult:
     """Modeled annual renewable output.
 

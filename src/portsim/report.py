@@ -18,13 +18,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import record
 from .dispatch import Assignment, solve_assignment
 from .economics import CostReport, cost_report
 from .emissions import EmissionsResult, evaluate_emissions
 from .energy import EnergyResult, evaluate_energy
-from .errors import ValidationError
+from .errors import DispatchError, ValidationError
 from .objective import ObjectiveScore, score_scenario
 from .renewables import GenerationResult, annual_generation
 from .scenario import RenewableSource, Scenario, SectorEnergyBreakdown
@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 _MAX = sys.float_info.max
 
 
-@dataclass(frozen=True)
+@record
 class SimulationReport:
     scenario_name: str
     energy: EnergyResult
@@ -74,7 +74,10 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
 
     assignment = None
     if scenario.dispatch_matrix is not None:
-        assignment = solve_assignment(scenario.dispatch_matrix)
+        try:
+            assignment = solve_assignment(scenario.dispatch_matrix)
+        except DispatchError as exc:  # a checked matrix fails only when its total overflows
+            raise ValidationError("assignment.total_cost", f"assignment.total_cost: {exc}") from None
 
     costs = cost_report(scenario.throughput.teu_per_year, scenario.costs)
     objective = score_scenario(
@@ -289,7 +292,8 @@ def _csv_rows(report: SimulationReport) -> list[tuple[str, float, str]]:
 def serialize_report(report: SimulationReport, format: str) -> bytes:
     """Serialize to ``"json"`` (structured) or ``"csv"`` (tabular) bytes."""
     if format == "json":
-        return (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
+        text = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
+        return (text + "\n").encode("utf-8")
     if format == "csv":
         lines = ["metric,value,unit"]
         lines += [f"{name},{_format_value(value)},{unit}" for name, value, unit in _csv_rows(report)]

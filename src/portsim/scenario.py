@@ -5,10 +5,10 @@ throughput, sector split, emission factors, renewable supply, generation
 assets, costs, an optional AGV dispatch matrix and objective weights.
 Everything is immutable after construction, and a ``Scenario`` checks
 every invariant in ``__post_init__``: an invalid one cannot be built,
-whether it comes from a file, from ``Scenario(...)`` or from
-``dataclasses.replace``. The first violated field is reported by its
-dotted path (``pv_arrays[2].module_efficiency``), in field declaration
-order.
+whether it comes from a file, from ``Scenario(...)`` or from a
+``replace`` of one of its fields. The first violated field is reported
+by its dotted path (``pv_arrays[2].module_efficiency``), in field
+declaration order.
 
 Each record's numeric fields are declared once, in ``*_RULES`` tables of
 ``name -> (low, high, wording)``. A value passes on one comparison,
@@ -17,7 +17,7 @@ the infinities; only a value that fails it takes the slow path, which
 accepts an int in range or raises with the field path and message.
 Parsing, checking and ``scenario_to_dict`` all read the same tables.
 
-Scenario files are JSON with keys named exactly like the dataclass fields
+Scenario files are JSON with keys named exactly like the record fields
 below. Unknown keys are rejected rather than ignored, so a typo in a file
 fails loudly instead of silently falling back to a default.
 
@@ -31,10 +31,10 @@ import json
 import math
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import renewables as renewables_model
+from ._record import record, replace
 from .dispatch import CostMatrix
 from .errors import DispatchError, ValidationError
 from .objective import ObjectiveWeights
@@ -66,13 +66,13 @@ class RenewableSource(str, Enum):
     FROM_PV_WIND_MODELS = "from_pv_wind_models"
 
 
-@dataclass(frozen=True)
+@record
 class ThroughputSpec:
     teu_per_year: float  # TEU/yr
     unit_energy: float  # kWh/TEU
 
 
-@dataclass(frozen=True)
+@record
 class SectorEnergyBreakdown:
     """Per-sector energy consumption in MWh."""
 
@@ -84,7 +84,7 @@ class SectorEnergyBreakdown:
         return self.equipment + self.transport + self.buildings
 
 
-@dataclass(frozen=True)
+@record
 class SectorShares:
     """Fractions of total energy taken by each sector; must sum to 1."""
 
@@ -93,7 +93,7 @@ class SectorShares:
     buildings_share: float
 
 
-@dataclass(frozen=True)
+@record
 class EmissionFactorSet:
     """Per-sector emission factors plus the grid average factor, kg CO2/MWh."""
 
@@ -103,7 +103,7 @@ class EmissionFactorSet:
     grid_factor: float
 
 
-@dataclass(frozen=True)
+@record
 class RenewableSupplySpec:
     """Annual renewable supply in MWh.
 
@@ -134,7 +134,7 @@ class RenewableSupplySpec:
         )
 
 
-@dataclass(frozen=True)
+@record
 class PvArraySpec:
     """One PV installation.
 
@@ -174,7 +174,7 @@ class PvArraySpec:
         )
 
 
-@dataclass(frozen=True)
+@record
 class WindTurbineSpec:
     """One wind turbine.
 
@@ -213,13 +213,13 @@ class WindTurbineSpec:
         )
 
 
-@dataclass(frozen=True)
+@record
 class CostParameters:
     baseline_cost_per_teu: float  # USD/TEU
     optimized_cost_per_teu: float  # USD/TEU
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     name: str
     throughput: ThroughputSpec
@@ -230,7 +230,7 @@ class Scenario:
     pv_arrays: tuple[PvArraySpec, ...] = ()
     wind_turbines: tuple[WindTurbineSpec, ...] = ()
     dispatch_matrix: CostMatrix | None = None
-    objective_weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
+    objective_weights: ObjectiveWeights = ObjectiveWeights()  # frozen, so one can be shared
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:

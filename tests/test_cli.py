@@ -138,16 +138,21 @@ def test_existing_file_beats_preset_name(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_out_pathlib_and_typing():
-    # every command starts a fresh interpreter, which pays for each import
+    # every command starts a fresh interpreter, which pays for each import;
+    # dataclasses and what it imports (inspect, ast, dis, tokenize) cost ~30 ms
     src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import portsim.cli; "
-        "print(sorted({'pathlib', 'typing', 'fractions'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+    unwanted = {
+        "pathlib", "typing", "fractions", "dataclasses", "inspect", "ast", "dis", "tokenize"
+    }
+    for module in ("portsim.cli", "portsim"):
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            f"print(sorted({unwanted!r} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]", module
 
 
 def one_line_error(capsys):
@@ -198,6 +203,19 @@ def test_overflowing_report_is_rejected(tmp_path, capsys, fmt, factors, costs, f
     path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--format", fmt]) == 1
     assert one_line_error(capsys).startswith(f"scenario: {field} is inf: ")
+
+
+def test_dispatch_total_past_the_float_range_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308,1e308\n1e308,1e308\n")
+    assert main(["dispatch", str(path)]) == 1
+    assert one_line_error(capsys) == "dispatch: total cost overflows\n"
+
+
+def test_run_with_dispatch_total_past_the_float_range_is_a_one_line_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, dispatch_matrix=[[1e308, 1e308], [1e308, 1e308]])
+    assert main(["run", str(path)]) == 1
+    assert one_line_error(capsys) == "scenario: assignment.total_cost: total cost overflows\n"
 
 
 def test_write_error_has_its_own_message(tmp_path, capsys):

@@ -142,6 +142,14 @@ def test_negative_entries_rejected():
         CostMatrix(entries=((1.0, 0.5), (2.0,)))
 
 
+def test_total_past_the_float_range_rejected():
+    # every entry is finite, but any assignment's exact sum is not
+    matrix = CostMatrix.from_rows([[1e308, 1e308], [1e308, 1e308]])
+    for total in (solve_assignment, brute_force_assignment, lambda m: assignment_cost(m, (0, 1))):
+        with pytest.raises(DispatchError, match="^total cost overflows$"):
+            total(matrix)
+
+
 def test_empty_matrix_rejected():
     with pytest.raises(DispatchError):
         CostMatrix.from_rows([])

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -168,6 +170,21 @@ def test_summary_uses_presentation_rounding(yangshan_report):
     assert "0.75 -> 0.79 kg CO2/MWh" in text
     assert "$472.5M" in text
     assert "1050" in text
+
+
+def test_run_rejects_a_dispatch_total_past_the_float_range():
+    scenario = scenario_from_dict(make_scenario_dict(dispatch_matrix=[[1e308, 1e308]] * 2))
+    with pytest.raises(ValidationError) as excinfo:
+        run_scenario(scenario)
+    assert excinfo.value.field == "assignment.total_cost"
+
+
+def test_json_refuses_a_number_that_is_not_finite(yangshan_report):
+    # run_scenario rejects such a report; one built by hand is caught when serialized
+    bad = replace(yangshan_report, objective=replace(yangshan_report.objective, total=math.nan))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        serialize_report(bad, "json")
+    assert b"NaN" not in serialize_report(yangshan_report, "json")
 
 
 def test_overflowing_report_names_its_first_non_finite_number():
