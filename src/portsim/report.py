@@ -5,19 +5,22 @@ generation (when the scenario derives its supply from assets), AGV
 dispatch (when a matrix is present), costs and the objective score. The
 result is a plain immutable record that serializes to JSON (machine
 readable, full precision, round-trippable) or CSV (one metric per row:
-``metric,value,unit``, plot-ready).
+``metric,value,unit``, plot-ready). Every metric is declared once, in the
+``_REPORT`` table, which the dict form, both formats and the finiteness
+check walk. The JSON bytes are those of ``json.dumps(report_to_dict(r),
+indent=2)`` plus a newline, written without it: non-ASCII characters as
+``\\uXXXX`` escapes, floats as Python's shortest ``repr``.
 
 Reports are deterministic: the same scenario always produces the same
 bytes, and every number in them is finite. Presentation rounding happens
-only in ``summarize``, the human-readable digest printed by the CLI on
-the error stream.
+only in ``summarize``, the human-readable digest printed by the CLI.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from ._record import record
 from .dispatch import Assignment, solve_assignment
@@ -60,12 +63,9 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
 
     energy = evaluate_energy(scenario.throughput, scenario.shares, renewable)
     emissions = evaluate_emissions(
-        sectors=energy.baseline_by_sector,
-        factors=scenario.factors,
-        renewable_energy=renewable,
+        sectors=energy.baseline_by_sector, factors=scenario.factors, renewable_energy=renewable,
         green_energy=scenario.renewables.new_green_energy,
-        baseline_energy_mwh=energy.baseline_total,
-        optimized_energy_mwh=energy.optimized_total,
+        baseline_energy_mwh=energy.baseline_total, optimized_energy_mwh=energy.optimized_total,
     )
 
     generation = None
@@ -81,11 +81,9 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
 
     costs = cost_report(scenario.throughput.teu_per_year, scenario.costs)
     objective = score_scenario(
-        emissions=emissions.optimized_emissions,
-        energy=energy.optimized_total,
+        emissions=emissions.optimized_emissions, energy=energy.optimized_total,
         dispatch_cost=assignment.total_cost if assignment is not None else 0.0,
-        renewable_energy=renewable,
-        weights=scenario.objective_weights,
+        renewable_energy=renewable, weights=scenario.objective_weights,
     )
 
     flags: list[str] = []
@@ -96,216 +94,184 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     flags.extend(scenario.notes)
 
     report = SimulationReport(
-        scenario_name=scenario.name,
-        energy=energy,
-        emissions=emissions,
-        generation=generation,
-        assignment=assignment,
-        costs=costs,
-        objective=objective,
-        flags=tuple(flags),
+        scenario.name, energy, emissions, generation, assignment, costs, objective, tuple(flags)
     )
-    _reject_non_finite(report)
+    _check_numbers(report, "the scenario's values overflow the report")
     return report
 
 
-def _reject_non_finite(report: SimulationReport) -> None:
-    """Raise naming the first inf or NaN in the report."""
-    e = report.energy
-    for section, record in (
-        ("energy", e),
-        ("energy.baseline_by_sector", e.baseline_by_sector),
-        ("emissions", report.emissions),
-        ("generation", report.generation),
-        ("assignment", report.assignment),
-        ("costs", report.costs),
-        ("objective", report.objective),
-    ):
-        if record is None:
-            continue
-        for name, value in vars(record).items():
+# Every report field, in report order; ``name`` is both the attribute and the JSON key.
+# A number is (name, CSV metric, unit), a nested record is (name, its class, its
+# rows), and any other field (a name, a list) is (name, None, None).
+_REPORT = (
+    ("scenario_name", None, None),
+    ("energy", EnergyResult, (
+        ("baseline_total", "baseline_total_mwh", "MWh"),
+        ("baseline_by_sector", SectorEnergyBreakdown, (
+            ("equipment", "equipment_energy_mwh", "MWh"),
+            ("transport", "transport_energy_mwh", "MWh"),
+            ("buildings", "buildings_energy_mwh", "MWh"),
+        )),
+        ("optimized_total", "optimized_total_mwh", "MWh"),
+        ("reduction_fraction", "energy_reduction_fraction", "fraction"),
+    )),
+    ("emissions", EmissionsResult, (
+        ("baseline_emissions", "baseline_emissions_kg", "kg CO2"),
+        ("optimized_emissions", "optimized_emissions_kg", "kg CO2"),
+        ("reduction", "emission_reduction_kg", "kg CO2"),
+        ("renewable_credit", "renewable_credit_kg", "kg CO2"),
+        ("baseline_intensity", "baseline_intensity", "kg CO2/MWh"),
+        ("optimized_intensity", "optimized_intensity", "kg CO2/MWh"),
+        ("substitution_efficiency", "substitution_efficiency", "kg CO2/MWh"),
+    )),
+    ("generation", GenerationResult, (
+        ("pv_annual", "pv_annual_kwh", "kWh"),
+        ("wind_annual", "wind_annual_kwh", "kWh"),
+        ("total_annual_mwh", "modeled_renewable_mwh", "MWh"),
+    )),
+    ("assignment", Assignment, (
+        ("mapping", None, None), ("total_cost", "dispatch_total_cost", "km"))),
+    ("costs", CostReport, (
+        ("per_teu_baseline", "per_teu_baseline", "USD/TEU"),
+        ("per_teu_optimized", "per_teu_optimized", "USD/TEU"),
+        ("per_teu_savings", "per_teu_savings", "USD/TEU"),
+        ("total_baseline", "total_baseline_usd", "USD"),
+        ("total_optimized", "total_optimized_usd", "USD"),
+        ("total_savings", "total_savings_usd", "USD"),
+        ("savings_fraction", "savings_fraction", "fraction"),
+    )),
+    ("objective", ObjectiveScore, (
+        ("total", "objective_total", "score"),
+        ("emissions_term", "objective_emissions_term", "score"),
+        ("energy_term", "objective_energy_term", "score"),
+        ("dispatch_term", "objective_dispatch_term", "score"),
+        ("renewables_term", "objective_renewables_term", "score"),
+    )),
+    ("flags", None, None),
+)
+
+
+def _check_numbers(record: Any, why: str, rows=_REPORT, prefix="", csv=None) -> None:
+    """Raise :class:`ValidationError` naming the first inf or NaN; fill ``csv`` if given."""
+    values = record.__dict__  # faster than getattr, and run_scenario pays for this walk
+    for name, kind, info in rows:
+        value = values[name]
+        if type(kind) is str:
             if type(value) is float and not -_MAX <= value <= _MAX:
-                path = f"{section}.{name}"
-                raise ValidationError(
-                    path, f"{path} is {value}: the scenario's values overflow the report"
-                )
+                raise ValidationError(prefix + name, f"{prefix}{name} is {value}: {why}")
+            if csv is not None:
+                csv.append(f"{kind},{_format_value(value)},{info}")
+        elif kind is not None and value is not None:
+            _check_numbers(value, why, info, f"{prefix}{name}.", csv)
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
+def _to_dict(record: Any, rows: tuple) -> dict[str, Any]:
+    raw = {}
+    for name, kind, info in rows:
+        value = getattr(record, name)
+        if isinstance(kind, type) and value is not None:
+            value = _to_dict(value, info)
+        raw[name] = list(value) if isinstance(value, (tuple, list)) else value
+    return raw
 
 
 def report_to_dict(report: SimulationReport) -> dict[str, Any]:
-    e = report.energy
-    m = report.emissions
-    c = report.costs
-    o = report.objective
-    return {
-        "scenario_name": report.scenario_name,
-        "energy": {
-            "baseline_total": e.baseline_total,
-            "baseline_by_sector": {
-                "equipment": e.baseline_by_sector.equipment,
-                "transport": e.baseline_by_sector.transport,
-                "buildings": e.baseline_by_sector.buildings,
-            },
-            "optimized_total": e.optimized_total,
-            "reduction_fraction": e.reduction_fraction,
-        },
-        "emissions": {
-            "baseline_emissions": m.baseline_emissions,
-            "optimized_emissions": m.optimized_emissions,
-            "reduction": m.reduction,
-            "renewable_credit": m.renewable_credit,
-            "baseline_intensity": m.baseline_intensity,
-            "optimized_intensity": m.optimized_intensity,
-            "substitution_efficiency": m.substitution_efficiency,
-        },
-        "generation": (
-            None
-            if report.generation is None
-            else {
-                "pv_annual": report.generation.pv_annual,
-                "wind_annual": report.generation.wind_annual,
-                "total_annual_mwh": report.generation.total_annual_mwh,
-            }
-        ),
-        "assignment": (
-            None
-            if report.assignment is None
-            else {
-                "mapping": list(report.assignment.mapping),
-                "total_cost": report.assignment.total_cost,
-            }
-        ),
-        "costs": {
-            "per_teu_baseline": c.per_teu_baseline,
-            "per_teu_optimized": c.per_teu_optimized,
-            "per_teu_savings": c.per_teu_savings,
-            "total_baseline": c.total_baseline,
-            "total_optimized": c.total_optimized,
-            "total_savings": c.total_savings,
-            "savings_fraction": c.savings_fraction,
-        },
-        "objective": {
-            "total": o.total,
-            "emissions_term": o.emissions_term,
-            "energy_term": o.energy_term,
-            "dispatch_term": o.dispatch_term,
-            "renewables_term": o.renewables_term,
-        },
-        "flags": list(report.flags),
-    }
+    return _to_dict(report, _REPORT)
+
+
+def _from_dict(raw: dict[str, Any], cls: type, rows: tuple) -> Any:
+    fields = {}
+    for name, kind, info in rows:
+        value = raw[name]
+        if isinstance(kind, type) and value is not None:
+            value = _from_dict(value, kind, info)
+        fields[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**fields)
 
 
 def report_from_dict(raw: dict[str, Any]) -> SimulationReport:
-    energy = EnergyResult(
-        baseline_total=raw["energy"]["baseline_total"],
-        baseline_by_sector=SectorEnergyBreakdown(**raw["energy"]["baseline_by_sector"]),
-        optimized_total=raw["energy"]["optimized_total"],
-        reduction_fraction=raw["energy"]["reduction_fraction"],
-    )
-    emissions = EmissionsResult(**raw["emissions"])
-    generation = None if raw["generation"] is None else GenerationResult(**raw["generation"])
-    assignment = None
-    if raw["assignment"] is not None:
-        assignment = Assignment(
-            mapping=tuple(raw["assignment"]["mapping"]),
-            total_cost=raw["assignment"]["total_cost"],
-        )
-    return SimulationReport(
-        scenario_name=raw["scenario_name"],
-        energy=energy,
-        emissions=emissions,
-        generation=generation,
-        assignment=assignment,
-        costs=CostReport(**raw["costs"]),
-        objective=ObjectiveScore(**raw["objective"]),
-        flags=tuple(raw["flags"]),
-    )
+    """The inverse of ``report_to_dict``; a number that is not finite is a ValidationError."""
+    report = _from_dict(raw, SimulationReport, _REPORT)
+    _check_numbers(report, "report numbers must be finite")
+    return report
 
 
 def report_from_json(data: bytes | str) -> SimulationReport:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """Parse a JSON report, e.g. one ``serialize_report`` wrote; see ``report_from_dict``."""
     try:
         raw = json.loads(data)
-    # JSONDecodeError, an int beyond Python's digit limit, or nesting too deep
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
         raise ValidationError("report", f"invalid report JSON: {exc}") from None
     return report_from_dict(raw)
 
 
+def _json_steps(rows: tuple, depth: int) -> tuple:
+    """Per row (the text before its value, name, nested steps, indent), then ``}``."""
+    pad = "\n" + "  " * depth
+    steps = tuple(
+        (f'{"," if i else "{"}{pad}"{name}": ', name,
+         _json_steps(info, depth + 1) if isinstance(kind, type) else None, pad)
+        for i, (name, kind, info) in enumerate(rows)
+    )
+    return steps, pad[:-2] + "}"
+
+
+_JSON = _json_steps(_REPORT, 1)
+
+
+def _json_scalar(value: Any) -> str:
+    """``value`` as ``json.dumps(..., allow_nan=False)`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if -_MAX <= value <= _MAX:
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    return int.__repr__(value)  # any other type is a TypeError, as in json
+
+
+def _write_json(record: Any, section: tuple, out: list[str]) -> None:
+    steps, close = section
+    for head, name, nested, pad in steps:
+        value = getattr(record, name)
+        out.append(head)
+        if type(value) is float and -_MAX <= value <= _MAX:  # nearly every value
+            out.append(repr(value))
+        elif nested is not None and value is not None:
+            _write_json(value, nested, out)
+        elif isinstance(value, (tuple, list)):
+            items = f",{pad}  ".join([_json_scalar(item) for item in value])
+            out.append(f"[{pad}  {items}{pad}]" if value else "[]")
+        else:
+            out.append(_json_scalar(value))
+    out.append(close)
+
+
 def _format_value(value: float) -> str:
     """Integral values print without a trailing ``.0``; others at full precision."""
-    if value == int(value) and abs(value) < 1e15 and not math.isnan(value):
+    if -1e15 < value < 1e15 and not value % 1:
         return str(int(value))
     return repr(value)
 
 
-def _csv_rows(report: SimulationReport) -> list[tuple[str, float, str]]:
-    e = report.energy
-    m = report.emissions
-    c = report.costs
-    o = report.objective
-    rows = [
-        ("baseline_total_mwh", e.baseline_total, "MWh"),
-        ("equipment_energy_mwh", e.baseline_by_sector.equipment, "MWh"),
-        ("transport_energy_mwh", e.baseline_by_sector.transport, "MWh"),
-        ("buildings_energy_mwh", e.baseline_by_sector.buildings, "MWh"),
-        ("optimized_total_mwh", e.optimized_total, "MWh"),
-        ("energy_reduction_fraction", e.reduction_fraction, "fraction"),
-        ("baseline_emissions_kg", m.baseline_emissions, "kg CO2"),
-        ("optimized_emissions_kg", m.optimized_emissions, "kg CO2"),
-        ("emission_reduction_kg", m.reduction, "kg CO2"),
-        ("renewable_credit_kg", m.renewable_credit, "kg CO2"),
-        ("baseline_intensity", m.baseline_intensity, "kg CO2/MWh"),
-        ("optimized_intensity", m.optimized_intensity, "kg CO2/MWh"),
-        ("substitution_efficiency", m.substitution_efficiency, "kg CO2/MWh"),
-    ]
-    if report.generation is not None:
-        rows += [
-            ("pv_annual_kwh", report.generation.pv_annual, "kWh"),
-            ("wind_annual_kwh", report.generation.wind_annual, "kWh"),
-            ("modeled_renewable_mwh", report.generation.total_annual_mwh, "MWh"),
-        ]
-    if report.assignment is not None:
-        rows.append(("dispatch_total_cost", report.assignment.total_cost, "km"))
-    rows += [
-        ("per_teu_baseline", c.per_teu_baseline, "USD/TEU"),
-        ("per_teu_optimized", c.per_teu_optimized, "USD/TEU"),
-        ("per_teu_savings", c.per_teu_savings, "USD/TEU"),
-        ("total_baseline_usd", c.total_baseline, "USD"),
-        ("total_optimized_usd", c.total_optimized, "USD"),
-        ("total_savings_usd", c.total_savings, "USD"),
-        ("savings_fraction", c.savings_fraction, "fraction"),
-        ("objective_total", o.total, "score"),
-        ("objective_emissions_term", o.emissions_term, "score"),
-        ("objective_energy_term", o.energy_term, "score"),
-        ("objective_dispatch_term", o.dispatch_term, "score"),
-        ("objective_renewables_term", o.renewables_term, "score"),
-    ]
-    return rows
-
-
 def serialize_report(report: SimulationReport, format: str) -> bytes:
-    """Serialize to ``"json"`` (structured) or ``"csv"`` (tabular) bytes."""
+    """Serialize to ``"json"`` or ``"csv"`` bytes; a number that is not finite is a ValueError."""
     if format == "json":
-        text = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
-        return (text + "\n").encode("utf-8")
+        out: list[str] = []
+        _write_json(report, _JSON, out)
+        return ("".join(out) + "\n").encode("utf-8")
     if format == "csv":
         lines = ["metric,value,unit"]
-        lines += [f"{name},{_format_value(value)},{unit}" for name, value, unit in _csv_rows(report)]
+        _check_numbers(report, "report numbers must be finite", csv=lines)
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {format!r} (expected 'json' or 'csv')")
 
 
 def summarize(report: SimulationReport) -> str:
     """Short human-readable digest; values rounded for presentation only."""
-    e = report.energy
-    m = report.emissions
-    c = report.costs
+    e, m, c = report.energy, report.emissions, report.costs
     lines = [
         f"scenario: {report.scenario_name}",
         f"  energy: {_format_value(e.baseline_total)} -> {_format_value(e.optimized_total)} MWh"
@@ -322,18 +288,13 @@ def summarize(report: SimulationReport) -> str:
             f" (pv {report.generation.pv_annual:.0f} kWh, wind {report.generation.wind_annual:.0f} kWh)"
         )
     if report.assignment is not None:
-        pairs = ", ".join(
-            f"{i}->{'unassigned' if j is None else j}"
-            for i, j in enumerate(report.assignment.mapping)
-        )
-        lines.append(
-            f"  dispatch: total {_format_value(report.assignment.total_cost)} ({pairs})"
-        )
+        mapping = enumerate(report.assignment.mapping)
+        pairs = ", ".join(f"{i}->{'unassigned' if j is None else j}" for i, j in mapping)
+        lines.append(f"  dispatch: total {_format_value(report.assignment.total_cost)} ({pairs})")
     lines.append(
         f"  cost: ${c.total_baseline / 1e6:.1f}M -> ${c.total_optimized / 1e6:.1f}M"
         f" (savings ${c.total_savings / 1e6:.1f}M, {c.savings_fraction * 100:.1f}%)"
     )
     lines.append(f"  objective score: {_format_value(report.objective.total)}")
-    for flag in report.flags:
-        lines.append(f"  note: {flag}")
+    lines += [f"  note: {flag}" for flag in report.flags]
     return "\n".join(lines)

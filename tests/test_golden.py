@@ -33,7 +33,7 @@ def source(case):
 
 
 def test_every_case_is_covered():
-    assert len(FILE_CASES) == 6
+    assert len(FILE_CASES) == 7
 
 
 @pytest.mark.parametrize("case", PRESET_CASES + FILE_CASES)

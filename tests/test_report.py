@@ -3,13 +3,27 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portsim import (
+    Assignment,
+    CostReport,
+    EmissionsResult,
+    EnergyResult,
+    GenerationResult,
+    ObjectiveScore,
+    PortsimError,
+    SectorEnergyBreakdown,
+    SimulationReport,
     ValidationError,
     get_preset,
     report_from_json,
+    report_to_dict,
     run_scenario,
     scenario_from_dict,
+    scenario_from_json,
+    scenario_to_json,
     serialize_report,
     summarize,
     validate_scenario,
@@ -201,3 +215,147 @@ def test_overflowing_report_names_its_first_non_finite_number():
 def test_unreadable_report_json_is_a_validation_error(text):
     with pytest.raises(ValidationError, match="invalid report JSON"):
         report_from_json(text)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path", ["objective.total", "energy.baseline_by_sector.equipment"])
+def test_report_json_with_a_non_finite_literal_is_rejected(yangshan_report, literal, path):
+    raw = report_to_dict(yangshan_report)
+    *sections, name = path.split(".")
+    target = raw
+    for section in sections:
+        target = target[section]
+    target[name] = float(literal.replace("Infinity", "inf"))
+    text = json.dumps(raw, indent=2)  # Python's json writes the NaN/Infinity literals
+    assert literal in text
+    with pytest.raises(ValidationError) as excinfo:
+        report_from_json(text)
+    assert excinfo.value.field == path
+    assert str(excinfo.value).startswith(f"{path} is ")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_csv_refuses_a_number_that_is_not_finite(yangshan_report, value):
+    energy = yangshan_report.energy
+    sectors = replace(energy.baseline_by_sector, transport=value)
+    bad = replace(yangshan_report, energy=replace(energy, baseline_by_sector=sectors))
+    with pytest.raises(ValueError, match="energy.baseline_by_sector.transport is "):
+        serialize_report(bad, "csv")
+
+
+# ---------------------------------------------------------------------------
+# The JSON emitter writes exactly what json.dumps(indent=2) writes
+# ---------------------------------------------------------------------------
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1e15, 0.1]),
+    st.integers(min_value=-(10**40), max_value=10**40),
+)
+SPECIAL_CHARACTERS = '"\\\t\n\r\x00\x1f\x7f\u00e9\u2028\U0001f6a2'
+TEXT = st.text(alphabet=st.one_of(st.sampled_from(SPECIAL_CHARACTERS), st.characters()))
+
+
+def records(cls, n):
+    return st.builds(cls, *[NUMBERS] * n)
+
+
+HAND_BUILT_REPORTS = st.builds(
+    SimulationReport,
+    scenario_name=TEXT,
+    energy=st.builds(EnergyResult, NUMBERS, records(SectorEnergyBreakdown, 3), NUMBERS, NUMBERS),
+    emissions=records(EmissionsResult, 7),
+    generation=st.none() | records(GenerationResult, 3),
+    assignment=st.none() | st.builds(
+        Assignment,
+        st.lists(st.none() | st.integers(min_value=0, max_value=10**20), max_size=6).map(tuple),
+        NUMBERS,
+    ),
+    costs=records(CostReport, 7),
+    objective=records(ObjectiveScore, 5),
+    flags=st.lists(TEXT, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(HAND_BUILT_REPORTS)
+def test_json_emitter_matches_json_dumps(report):
+    expected = (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
+    assert serialize_report(report, "json") == expected
+
+
+# ---------------------------------------------------------------------------
+# Whole documents: anything the parser accepts runs, serializes and round-trips
+# ---------------------------------------------------------------------------
+
+MAGNITUDES = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, 1.7e308]),
+    st.integers(min_value=0, max_value=10**6),
+)
+FRACTIONS = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([5e-324, 1e-300])
+POSITIVE = MAGNITUDES.filter(lambda x: x > 0)
+
+
+@st.composite
+def scenario_documents(draw):
+    a = draw(FRACTIONS)
+    b = draw(FRACTIONS) * (1.0 - a)
+    doc = {
+        "name": draw(TEXT.filter(bool)),
+        "throughput": {"teu_per_year": draw(MAGNITUDES), "unit_energy": draw(MAGNITUDES)},
+        "shares": {
+            "equipment_share": a, "transport_share": b, "buildings_share": max(1.0 - a - b, 0.0)
+        },
+        "factors": {
+            key: draw(MAGNITUDES)
+            for key in ("equipment_factor", "transport_factor", "buildings_factor", "grid_factor")
+        },
+        "costs": {
+            "baseline_cost_per_teu": draw(MAGNITUDES), "optimized_cost_per_teu": draw(MAGNITUDES)
+        },
+        "notes": draw(st.lists(TEXT, max_size=2)),
+    }
+    if draw(st.booleans()):
+        doc["renewables"] = {"source": "explicit", "renewable_energy": draw(MAGNITUDES)}
+        if draw(st.booleans()):
+            doc["renewables"]["new_green_energy"] = draw(MAGNITUDES)
+    else:
+        doc["renewables"] = {"source": "from_pv_wind_models"}
+        doc["pv_arrays"] = [
+            {"panel_area": draw(MAGNITUDES), "module_efficiency": draw(FRACTIONS),
+             "irradiance": draw(MAGNITUDES), "performance_ratio": draw(FRACTIONS)}
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        doc["wind_turbines"] = [
+            {"swept_area": draw(MAGNITUDES), "wind_speed": draw(MAGNITUDES),
+             "operating_hours": draw(MAGNITUDES), "air_density": draw(POSITIVE)}
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        row = st.lists(MAGNITUDES, min_size=cols, max_size=cols)
+        doc["dispatch_matrix"] = draw(st.lists(row, min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        doc["objective_weights"] = {"w_dispatch": draw(MAGNITUDES), "norm_energy": draw(POSITIVE)}
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_documents())
+def test_every_accepted_document_runs_serializes_and_round_trips(doc):
+    try:
+        scenario = scenario_from_dict(doc)
+    except ValidationError as exc:
+        assert exc.field  # the parser names what it rejects
+        return
+    assert scenario_from_json(scenario_to_json(scenario)) == scenario
+    try:
+        report = run_scenario(scenario)
+    except PortsimError as exc:
+        assert isinstance(exc, ValidationError) and exc.field
+        return
+    data = serialize_report(report, "json")
+    assert serialize_report(report, "csv").startswith(b"metric,value,unit\n")
+    assert report_from_json(data) == report
+    summarize(report)
