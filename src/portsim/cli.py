@@ -8,83 +8,53 @@ of the same name wins).
 
 The ``run`` data stream (stdout or ``--output``) carries exactly the
 serialized report bytes; the human-readable summary and all error messages
-go to stderr. Exit codes: 0 success, 1 validation or input error, 2 usage
-error.
+go to stderr. Exit codes: 0 success (``--help`` included), 1 validation or
+input error, 2 usage error, reported as the usage line and one
+``portsim: error: ...`` line.
+
+Each command starts a fresh interpreter, so a subcommand imports only what
+it runs, and the ``_COMMANDS`` table drives a small parser in place of
+``argparse``. Options go on either side of the input, as ``--opt value``,
+``--opt=value`` or a unique prefix (``--form csv``); a value is taken as
+given, even when it starts with ``-``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
-from ._record import replace
-from .dispatch import load_cost_matrix, solve_assignment
 from .errors import PortsimError
-from .presets import PRESET_SUMMARIES, get_preset, preset_names
-from .report import run_scenario, serialize_report, summarize
-from .scenario import Scenario, SectorShares, load_scenario, with_shares, with_weights
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Sequence
+    from .scenario import Scenario
 
 
-def _comma_floats(count: int, flag: str):
-    def parse(text: str) -> tuple[float, ...]:
+def _comma_floats(flag: str, names: tuple[str, ...]):
+    def parse(text: str) -> dict[str, float]:
         parts = text.split(",")
-        if len(parts) != count:
-            raise argparse.ArgumentTypeError(
-                f"{flag} expects {count} comma-separated numbers, got {len(parts)}"
-            )
+        if len(parts) != len(names):
+            raise ValueError(f"{flag} expects {len(names)} comma-separated numbers, got {len(parts)}")
         try:
-            return tuple(float(p) for p in parts)
+            return dict(zip(names, map(float, parts)))
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{flag} expects numbers, got {text!r}"
-            ) from None
-
+            raise ValueError(f"{flag} expects numbers, got {text!r}") from None
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="portsim",
-        description="Deterministic energy, emissions, dispatch and cost simulation for ports.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_validate = sub.add_parser("validate", help="validate a scenario file or preset")
-    p_validate.add_argument("input", help="scenario file path or preset name")
-
-    p_run = sub.add_parser("run", help="run a scenario and emit its report")
-    p_run.add_argument("input", help="scenario file path or preset name")
-    p_run.add_argument(
-        "--format", choices=("json", "csv"), default="json",
-        help="report format on the data stream (default: json)",
-    )
-    p_run.add_argument("--output", metavar="PATH", help="write the report to PATH instead of stdout")
-    p_run.add_argument(
-        "--weights", type=_comma_floats(4, "--weights"), metavar="WE,WN,WD,WR",
-        help="override the four objective weights",
-    )
-    p_run.add_argument(
-        "--shares", type=_comma_floats(3, "--shares"), metavar="A,B,C",
-        help="override the equipment,transport,buildings shares",
-    )
-
-    p_dispatch = sub.add_parser("dispatch", help="solve an assignment problem from a CSV cost grid")
-    p_dispatch.add_argument("input", help="comma-separated numeric grid, one row per line")
-    p_dispatch.add_argument("--output", metavar="PATH", help="write the solution to PATH instead of stdout")
-
-    sub.add_parser("presets", help="list bundled scenarios")
-
-    return parser
+def _report_format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(f"--format expects json or csv, got {text!r}")
+    return text
 
 
 def _load_input(name_or_path: str) -> Scenario:
     if os.path.isfile(name_or_path):
+        from .scenario import load_scenario
         return load_scenario(name_or_path)
+    from .presets import get_preset
     return get_preset(name_or_path)
 
 
@@ -104,81 +74,128 @@ def _emit(data: bytes, output: str | None) -> None:
         raise _WriteError(f"cannot write output: {exc}") from None
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _load_input(args.input)
+def _cmd_validate(source: str) -> int:
+    scenario = _load_input(source)
     print(f"valid: {scenario.name}")
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(source: str, format: str = "json", output: str | None = None,
+             weights: dict[str, float] | None = None, shares: dict[str, float] | None = None) -> int:
+    from ._record import replace
+    from .report import run_scenario, serialize_report, summarize
+    from .scenario import SectorShares, with_shares, with_weights
     # Each override builds a new Scenario, which checks itself.
-    scenario = _load_input(args.input)
-    if args.shares is not None:
-        scenario = with_shares(
-            scenario,
-            SectorShares(
-                equipment_share=args.shares[0],
-                transport_share=args.shares[1],
-                buildings_share=args.shares[2],
-            ),
-        )
-    if args.weights is not None:
-        scenario = with_weights(
-            scenario,
-            replace(
-                scenario.objective_weights,
-                w_emissions=args.weights[0],
-                w_energy=args.weights[1],
-                w_dispatch=args.weights[2],
-                w_renewables=args.weights[3],
-            ),
-        )
+    scenario = _load_input(source)
+    if shares is not None:
+        scenario = with_shares(scenario, SectorShares(**shares))
+    if weights is not None:
+        scenario = with_weights(scenario, replace(scenario.objective_weights, **weights))
     report = run_scenario(scenario)
-    _emit(serialize_report(report, args.format), args.output)
+    _emit(serialize_report(report, format), output)
     print(summarize(report), file=sys.stderr)
     return 0
 
 
-def _cmd_dispatch(args: argparse.Namespace) -> int:
-    matrix = load_cost_matrix(args.input)
-    assignment = solve_assignment(matrix)
-    lines = [
-        f"{i} -> {'unassigned' if j is None else j}"
-        for i, j in enumerate(assignment.mapping)
-    ]
+def _cmd_dispatch(source: str, output: str | None = None) -> int:
+    from .dispatch import load_cost_matrix, solve_assignment
+    assignment = solve_assignment(load_cost_matrix(source))
+    lines = [f"{i} -> {'unassigned' if j is None else j}" for i, j in enumerate(assignment.mapping)]
     total = assignment.total_cost
-    total_text = str(int(total)) if total == int(total) else repr(total)
-    lines.append(f"total {total_text}")
-    _emit(("\n".join(lines) + "\n").encode("utf-8"), args.output)
+    lines.append(f"total {int(total) if total == int(total) else repr(total)}")
+    _emit(("\n".join(lines) + "\n").encode("utf-8"), output)
     return 0
 
 
 def _cmd_presets() -> int:
+    from .presets import PRESET_SUMMARIES, preset_names
     width = max(len(name) for name in preset_names())
     for name in preset_names():
         print(f"{name:<{width}}  {PRESET_SUMMARIES[name]}")
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+_SCENARIO = "scenario file path or preset name"
+_WEIGHTS = ("w_emissions", "w_energy", "w_dispatch", "w_renewables")
+_SHARES = ("equipment_share", "transport_share", "buildings_share")
+
+#: subcommand -> (its function, help, help of its INPUT or None, options). An option
+#: is ``--name: (metavar, parse, help)``; its value is the function's ``name`` argument.
+_COMMANDS = {
+    "validate": (_cmd_validate, "validate a scenario file or preset", _SCENARIO, {}),
+    "run": (_cmd_run, "run a scenario and emit its report", _SCENARIO, {
+        "--format": ("{json,csv}", _report_format, "report format (default: json)"),
+        "--output": ("PATH", str, "write the report to PATH instead of stdout"),
+        "--weights": ("WE,WN,WD,WR", _comma_floats("--weights", _WEIGHTS), "objective weights"),
+        "--shares": ("A,B,C", _comma_floats("--shares", _SHARES), "equipment,transport,buildings shares"),
+    }),
+    "dispatch": (_cmd_dispatch, "solve an assignment problem from a CSV cost grid", "CSV cost grid",
+                 {"--output": ("PATH", str, "write the solution to PATH instead of stdout")}),
+    "presets": (_cmd_presets, "list bundled scenarios", None, {}),
+}
+
+
+def _help(name: str | None) -> str:
+    """The help of ``portsim`` or of one subcommand; its first line is the usage."""
+    if name is None:
+        usage = f"usage: portsim [-h] {{{','.join(_COMMANDS)}}} ..."
+        about = "Deterministic energy, emissions, dispatch and cost simulation for ports."
+        rows = [(command, spec[1]) for command, spec in _COMMANDS.items()]
+    else:
+        _, about, source, options = _COMMANDS[name]
+        rows = [(f"{option} {metavar}", text) for option, (metavar, _, text) in options.items()]
+        usage = " ".join([f"usage: portsim {name} [-h]", *(f"[{left}]" for left, _ in rows)])
+        rows = [("INPUT", source)] + rows if source else rows
+        usage += " INPUT" if source else ""
+    rows.append(("-h, --help", "show this help message and exit"))
+    return "\n".join([usage, "", about, "", *(f"  {a:<24}{b}" for a, b in rows)]) + "\n"
+
+
+def _parse(argv: list[str]) -> tuple:
+    """(function, positionals, options) of a command line; exits on help or a usage error."""
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    options, positional, values = _COMMANDS[name][3] if name else {}, [], {}
     try:
-        if args.subcommand == "validate":
-            return _cmd_validate(args)
-        if args.subcommand == "run":
-            return _cmd_run(args)
-        if args.subcommand == "dispatch":
-            return _cmd_dispatch(args)
-        if args.subcommand == "presets":
-            return _cmd_presets()
+        args = iter(argv[1:] if name else argv)
+        for arg in args:
+            if arg == "-" or not arg.startswith("-"):
+                positional.append(arg)
+                continue
+            option, has_value, value = arg.partition("=")
+            matches = [o for o in (*options, "--help") if option[:2] == "--" and o.startswith(option)]
+            if option == "-h" or matches == ["--help"]:
+                sys.stdout.write(_help(name))
+                raise SystemExit(0)
+            if len(matches) != 1:
+                raise ValueError(f"unrecognized option {option!r}")
+            metavar, parse, _ = options[matches[0]]
+            if not has_value and (value := next(args, None)) is None:
+                raise ValueError(f"{matches[0]} expects a value ({metavar})")
+            values[matches[0][2:]] = parse(value)
+        if name is None:
+            problem = f"unknown subcommand {positional[0]!r}" if positional else "missing subcommand"
+            raise ValueError(f"{problem} (choose from {', '.join(_COMMANDS)})")
+        wanted = 1 if _COMMANDS[name][2] else 0
+        if len(positional) != wanted:
+            extra = positional[wanted:]
+            raise ValueError(f"unexpected argument {extra[0]!r}" if extra else "missing INPUT")
+    except ValueError as exc:
+        usage = _help(name).partition("\n")[0]
+        sys.stderr.write(f"{usage}\nportsim: error: {exc}\n")
+        raise SystemExit(2) from None
+    return _COMMANDS[name][0], positional, values
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    command, positional, options = _parse(sys.argv[1:] if argv is None else list(argv))
+    try:
+        return command(*positional, **options)
     except PortsimError as exc:
         print(f"{exc.module}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"cli: cannot read input: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled subcommand {args.subcommand!r}")
 
 
 def entrypoint() -> None:

@@ -19,11 +19,11 @@ loading one runs the same parsing and checks as a user file.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .scenario import Scenario, scenario_from_dict
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Any
+    from .scenario import Scenario
 
 _RECONCILIATION_NOTE = (
     "share reconciliation: this variant swaps the stated transport/buildings split "
@@ -104,6 +104,7 @@ def get_preset(name: str) -> Scenario:
     Parsing copies what it keeps into tuples and records, so the result
     shares nothing mutable with :data:`PRESETS`.
     """
+    from .scenario import scenario_from_dict
     if name not in PRESETS:
         raise ValidationError(
             "preset", f"unknown preset '{name}' (available: {', '.join(preset_names())})"

@@ -18,9 +18,7 @@ only in ``summarize``, the human-readable digest printed by the CLI.
 
 from __future__ import annotations
 
-import json
 import sys
-from json.encoder import encode_basestring_ascii
 
 from ._record import record
 from .dispatch import Assignment, solve_assignment
@@ -179,18 +177,26 @@ def report_to_dict(report: SimulationReport) -> dict[str, Any]:
     return _to_dict(report, _REPORT)
 
 
-def _from_dict(raw: dict[str, Any], cls: type, rows: tuple) -> Any:
+def _from_dict(raw: Any, cls: type, rows: tuple, prefix: str = "") -> Any:
+    if type(raw) is not dict:
+        where = prefix[:-1] or "report"
+        raise ValidationError(where, f"{where} is not an object")
     fields = {}
     for name, kind, info in rows:
+        if name not in raw:
+            raise ValidationError(prefix + name, f"{prefix}{name} is missing from the report")
         value = raw[name]
         if isinstance(kind, type) and value is not None:
-            value = _from_dict(value, kind, info)
+            value = _from_dict(value, kind, info, f"{prefix}{name}.")
+        elif type(kind) is str and type(value) not in (int, float):
+            raise ValidationError(prefix + name, f"{prefix}{name} is not a number")
         fields[name] = tuple(value) if isinstance(value, list) else value
     return cls(**fields)
 
 
 def report_from_dict(raw: dict[str, Any]) -> SimulationReport:
-    """The inverse of ``report_to_dict``; a number that is not finite is a ValidationError."""
+    """The inverse of ``report_to_dict``. A missing key, a section that is not an object or
+    a number that is not a finite int or float is a ValidationError naming its report path."""
     report = _from_dict(raw, SimulationReport, _REPORT)
     _check_numbers(report, "report numbers must be finite")
     return report
@@ -198,6 +204,7 @@ def report_from_dict(raw: dict[str, Any]) -> SimulationReport:
 
 def report_from_json(data: bytes | str) -> SimulationReport:
     """Parse a JSON report, e.g. one ``serialize_report`` wrote; see ``report_from_dict``."""
+    import json
     try:
         raw = json.loads(data)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
@@ -222,6 +229,9 @@ _JSON = _json_steps(_REPORT, 1)
 def _json_scalar(value: Any) -> str:
     """``value`` as ``json.dumps(..., allow_nan=False)`` writes it."""
     if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'  # exactly the strings json writes unescaped
+        from json.encoder import encode_basestring_ascii
         return encode_basestring_ascii(value)
     if isinstance(value, float):
         if -_MAX <= value <= _MAX:

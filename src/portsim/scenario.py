@@ -27,7 +27,6 @@ and are converted at the boundary), emissions in kg CO2, money in USD.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections.abc import Mapping
@@ -612,10 +611,12 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
 
 
 def scenario_to_json(scenario: Scenario) -> str:
+    import json
     return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
 
 
 def scenario_from_json(text: str) -> Scenario:
+    import json  # here, not at the top: a preset never parses JSON text
     try:
         raw = json.loads(text)
     # JSONDecodeError, an int beyond Python's digit limit, or nesting too deep

@@ -142,7 +142,8 @@ def test_cli_import_leaves_out_pathlib_and_typing():
     # dataclasses and what it imports (inspect, ast, dis, tokenize) cost ~30 ms
     src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
     unwanted = {
-        "pathlib", "typing", "fractions", "dataclasses", "inspect", "ast", "dis", "tokenize"
+        "pathlib", "typing", "fractions", "dataclasses", "inspect", "ast", "dis", "tokenize",
+        "argparse", "json", "re",
     }
     for module in ("portsim.cli", "portsim"):
         code = (
@@ -153,6 +154,125 @@ def test_cli_import_leaves_out_pathlib_and_typing():
             [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "[]", module
+
+
+PARSER_MODULES = {"argparse", "gettext", "locale", "shutil"}
+JSON_MODULES = {"json", "re"}
+SCENARIO_MODULES = {"portsim.scenario", "portsim.report"}
+
+
+@pytest.mark.parametrize(
+    "args, unwanted",
+    [
+        (["run", "yangshan-phase4"], PARSER_MODULES | JSON_MODULES),
+        (["run", "yangshan-phase4", "--format", "csv"], PARSER_MODULES | JSON_MODULES),
+        (["validate", "yangshan-phase4"], PARSER_MODULES | JSON_MODULES),
+        (["run", "scenario.json"], PARSER_MODULES),
+        (["presets"], PARSER_MODULES | JSON_MODULES | SCENARIO_MODULES),
+        (["dispatch", "grid.csv"], PARSER_MODULES | JSON_MODULES | SCENARIO_MODULES),
+    ],
+)
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, args, unwanted):
+    # a command's own imports are most of its cost: argparse alone pulls in gettext,
+    # locale and shutil (with zlib, bz2 and lzma), and json pulls in re
+    write_scenario(tmp_path)
+    (tmp_path / "grid.csv").write_text("420,350,450\n450,400,280\n420,360,390\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
+    code = (
+        f"import runpy, sys; sys.path.insert(0, {src!r}); sys.argv = ['portsim', *{args!r}]\n"
+        "try:\n    runpy.run_module('portsim.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    code = exc.code\n"
+        f"print(code, sorted({unwanted!r} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "missing subcommand (choose from validate, run, dispatch, presets)"),
+        (["frobnicate"], "unknown subcommand 'frobnicate' (choose from validate, run, dispatch, presets)"),
+        (["run"], "missing INPUT"),
+        (["validate", "a.json", "b.json"], "unexpected argument 'b.json'"),
+        (["presets", "extra"], "unexpected argument 'extra'"),
+        (["run", "yangshan-phase4", "--bogus"], "unrecognized option '--bogus'"),
+        (["dispatch", "grid.csv", "--format", "csv"], "unrecognized option '--format'"),
+        (["run", "yangshan-phase4", "-x"], "unrecognized option '-x'"),
+        (["run", "yangshan-phase4", "--output"], "--output expects a value (PATH)"),
+        (["run", "yangshan-phase4", "--format", "xml"], "--format expects json or csv, got 'xml'"),
+        (["run", "yangshan-phase4", "--weights", "1,2"],
+         "--weights expects 4 comma-separated numbers, got 2"),
+        (["run", "yangshan-phase4", "--shares", "a,b,c"], "--shares expects numbers, got 'a,b,c'"),
+    ],
+)
+def test_usage_error_is_a_usage_line_and_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error, rest = captured.err.split("\n", 2)
+    assert usage.startswith("usage: portsim ") and rest == ""
+    assert error == f"portsim: error: {message}"
+
+
+def test_usage_line_is_that_of_the_subcommand(capsys):
+    main_usage = "usage: portsim [-h] {validate,run,dispatch,presets} ..."
+    with pytest.raises(SystemExit):
+        main(["frobnicate"])
+    assert capsys.readouterr().err.startswith(main_usage + "\n")
+    with pytest.raises(SystemExit):
+        main(["dispatch"])
+    assert capsys.readouterr().err.startswith("usage: portsim dispatch [-h] [--output PATH] INPUT\n")
+
+
+@pytest.mark.parametrize(
+    "argv, listed",
+    [
+        (["--help"], ["validate", "run", "dispatch", "presets"]),
+        (["-h"], ["validate", "run", "dispatch", "presets"]),
+        (["run", "--help"], ["INPUT", "--format {json,csv}", "--output PATH", "--weights WE,WN,WD,WR",
+                             "--shares A,B,C"]),
+        (["run", "yangshan-phase4", "--he"], ["--format {json,csv}"]),
+        (["dispatch", "-h"], ["INPUT", "--output PATH"]),
+    ],
+)
+def test_help_goes_to_stdout_and_exits_0(capsys, argv, listed):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: portsim ")
+    for item in [*listed, "-h, --help"]:
+        assert f"\n  {item} " in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "yangshan-phase4", "--format=csv"],
+        ["run", "--format", "csv", "yangshan-phase4"],
+        ["run", "yangshan-phase4", "--form", "csv"],
+        ["run", "--f=csv", "yangshan-phase4"],
+    ],
+)
+def test_option_spellings_give_the_same_bytes(capsysbinary, argv):
+    assert main(["run", "yangshan-phase4", "--format", "csv"]) == 0
+    expected = capsysbinary.readouterr()
+    assert expected.out.startswith(b"metric,value,unit\n")
+    assert main(argv) == 0
+    assert capsysbinary.readouterr() == expected
+
+
+def test_an_option_value_may_start_with_a_dash(capsys):
+    # the word after an option is its value, so the negative weight reaches the scenario check
+    assert main(["run", "yangshan-phase4", "--weights", "-1,0,0,0"]) == 1
+    err = one_line_error(capsys)
+    assert err == "scenario: objective_weights.w_emissions must be non-negative, got -1\n"
 
 
 def one_line_error(capsys):

@@ -234,6 +234,33 @@ def test_report_json_with_a_non_finite_literal_is_rejected(yangshan_report, lite
     assert str(excinfo.value).startswith(f"{path} is ")
 
 
+def _without_energy(raw):
+    del raw["energy"]
+    return raw
+
+
+@pytest.mark.parametrize(
+    "reshape, field, message",
+    [
+        (lambda raw: {}, "scenario_name", "scenario_name is missing from the report"),
+        (lambda raw: [], "report", "report is not an object"),
+        (_without_energy, "energy", "energy is missing from the report"),
+        (lambda raw: {**raw, "costs": [1.0]}, "costs", "costs is not an object"),
+        (lambda raw: {**raw, "energy": {**raw["energy"], "baseline_by_sector": "x"}},
+         "energy.baseline_by_sector", "energy.baseline_by_sector is not an object"),
+        (lambda raw: {**raw, "objective": {**raw["objective"], "total": "1"}},
+         "objective.total", "objective.total is not a number"),
+    ],
+    ids=["empty-object", "array", "no-energy", "section-array", "nested-string", "number-string"],
+)
+def test_report_of_the_wrong_shape_is_a_validation_error(yangshan_report, reshape, field, message):
+    text = json.dumps(reshape(report_to_dict(yangshan_report)))
+    with pytest.raises(ValidationError) as excinfo:
+        report_from_json(text)
+    assert excinfo.value.field == field
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_csv_refuses_a_number_that_is_not_finite(yangshan_report, value):
     energy = yangshan_report.energy
@@ -282,6 +309,17 @@ HAND_BUILT_REPORTS = st.builds(
 def test_json_emitter_matches_json_dumps(report):
     expected = (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
     assert serialize_report(report, "json") == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["", "port-7 A", "\x7f", "\x1f", '"', "\\", "\u00e9", "\U0001f6a2"],
+    ids=["empty", "ascii", "delete", "unit-separator", "quote", "backslash", "e-acute", "astral"],
+)
+def test_json_emitter_writes_each_string_as_json_does(yangshan_report, text):
+    # plain ASCII takes a fast path around json's escaper; the rest goes through it
+    for report in (replace(yangshan_report, scenario_name=text), replace(yangshan_report, flags=(text,))):
+        expected = (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
+        assert serialize_report(report, "json") == expected
 
 
 # ---------------------------------------------------------------------------
