@@ -6,10 +6,11 @@ The solver finds an exact optimum in O(n^3) for n = max(rows, cols):
   float is m * 2**e), so dual potentials and every comparison are exact,
   with no tolerance. ``total_cost`` is the ``math.fsum`` of the selected
   original entries (``DispatchError`` if it passes the float range).
-* A rectangular matrix is padded to square with all-zero rows (wide) or
-  all-zero columns (tall). A perfect matching of the padded square covers
-  every real row or every real column, which is the max-cardinality
-  optimum; rows matched to a padded column are reported as unassigned.
+* A wide matrix is padded to square with all-zero rows. A tall one is
+  solved as its transpose padded the same way, then matching and duals are
+  swapped back. A perfect matching of the padded square covers every real
+  row or every real column, which is the max-cardinality optimum; rows
+  matched to a padded column are reported as unassigned.
 * One augmenting-path Hungarian solve with row and column potentials
   gives an optimal matching and optimal duals. Like the solvers of
   Jonker & Volgenant (1987) and Crouse (2016), it takes a free column
@@ -109,21 +110,22 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
     """Return a minimum-total-cost assignment with the deterministic tie-break.
 
     One O(n^3) Hungarian solve on the exact integer costs, zero-padded to
-    square, gives an optimal matching and optimal duals. The canonical
-    (lexicographically smallest optimal) mapping is then read off the tight
-    subgraph of those duals in O(n^3): for each row in order, the smallest
-    tight column whose holder, a later row, can be re-routed along tight
-    edges to the row's current column.
+    square or transposed, gives an optimal matching and optimal duals. The
+    canonical (lexicographically smallest optimal) mapping is then read off
+    the tight subgraph of those duals in O(n^3), in the original orientation:
+    for each row in order, the smallest tight column whose holder, a later
+    row, can be re-routed along tight edges to the row's current column.
     """
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     n = max(n_rows, n_cols)
     cost = _integer_costs(matrix.entries)
-    if n_cols < n:
-        pad = [0] * (n - n_cols)
-        cost = [row + pad for row in cost]
+    if n_cols < n:  # tall: solve the transpose, padded with zero rows, and swap back
+        row4col, col4row, v, u = _hungarian([*zip(*cost), *[[0] * n] * (n - n_cols)], n)
+        u.pop()  # the transpose's virtual column
+        cost = [row + [0] * (n - n_cols) for row in cost]  # the tie-break's orientation
     else:
         cost.extend([0] * n for _ in range(n - n_rows))
-    col4row, row4col, u, v = _hungarian(cost, n)
+        col4row, row4col, u, v = _hungarian(cost, n)
     _tie_break(cost, n, col4row, row4col, u, v)
     mapping: list[int | None] = []
     selected: list[float] = []
@@ -158,9 +160,7 @@ def brute_force_assignment(matrix: CostMatrix) -> Assignment:
             best_total = total
             best_perm = perm
     rows = matrix.entries
-    return Assignment(
-        mapping=best_perm, total_cost=_total(rows[i][best_perm[i]] for i in range(n))
-    )
+    return Assignment(best_perm, _total(rows[i][j] for i, j in enumerate(best_perm)))
 
 
 def assignment_cost(matrix: CostMatrix, mapping: Sequence[int | None]) -> float:
@@ -170,9 +170,7 @@ def assignment_cost(matrix: CostMatrix, mapping: Sequence[int | None]) -> float:
     and mappings shorter than the row count are treated as unassigned rows.
     """
     if len(mapping) > matrix.n_rows:
-        raise DispatchError(
-            f"mapping has {len(mapping)} rows, matrix has {matrix.n_rows}"
-        )
+        raise DispatchError(f"mapping has {len(mapping)} rows, matrix has {matrix.n_rows}")
     seen: set[int] = set()
     selected: list[float] = []
     for i, j in enumerate(mapping):
@@ -213,12 +211,14 @@ def _total(selected: Iterable[float]) -> float:
 
 def _integer_costs(entries: tuple[tuple[float, ...], ...]) -> list[list[int]]:
     """The entries times one common power of two, as exact Python ints."""
+    if all(map(float.is_integer, itertools.chain.from_iterable(entries))):
+        return [list(map(int, row)) for row in entries]  # the power is 2**0
     ratios = [[x.as_integer_ratio() for x in row] for row in entries]
     scale = max(q for row in ratios for _, q in row)
     return [[p * (scale // q) for p, q in row] for row in ratios]
 
 
-def _hungarian(cost: list[list[int]], n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+def _hungarian(cost: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int], list[int], list[int]]:
     """Augmenting-path Hungarian solve of a square integer matrix.
 
     Returns ``(col4row, row4col, u, v)``: an optimal perfect matching, seen

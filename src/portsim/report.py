@@ -190,13 +190,38 @@ def _from_dict(raw: Any, cls: type, rows: tuple, prefix: str = "") -> Any:
             value = _from_dict(value, kind, info, f"{prefix}{name}.")
         elif type(kind) is str and type(value) not in (int, float):
             raise ValidationError(prefix + name, f"{prefix}{name} is not a number")
+        elif kind is None:
+            _check_other(prefix + name, value)
         fields[name] = tuple(value) if isinstance(value, list) else value
     return cls(**fields)
 
 
+#: What each list field of the report holds: (item test, item description).
+_LIST_ITEMS = {
+    "assignment.mapping": (lambda j: j is None or type(j) is int, "a column index or null"),
+    "flags": (lambda flag: type(flag) is str, "a string"),
+}
+
+
+def _check_other(path: str, value: Any) -> None:
+    """Reject a ``scenario_name`` that is not a str, or a list field of the wrong type."""
+    if path not in _LIST_ITEMS:
+        if type(value) is not str:
+            raise ValidationError(path, f"{path} is not a string")
+        return
+    if type(value) is not list:
+        raise ValidationError(path, f"{path} is not a list")
+    test, what = _LIST_ITEMS[path]
+    for i, item in enumerate(value):
+        if not test(item):  # an exact type test: a bool is not a column index
+            raise ValidationError(f"{path}[{i}]", f"{path}[{i}] is not {what}")
+
+
 def report_from_dict(raw: dict[str, Any]) -> SimulationReport:
-    """The inverse of ``report_to_dict``. A missing key, a section that is not an object or
-    a number that is not a finite int or float is a ValidationError naming its report path."""
+    """The inverse of ``report_to_dict``. A missing key, a section that is not an object, a
+    number that is not a finite int or float, a name that is not a str, flags that are not
+    strs or a mapping entry that is not an int or None is a ValidationError naming its
+    report path."""
     report = _from_dict(raw, SimulationReport, _REPORT)
     _check_numbers(report, "report numbers must be finite")
     return report
@@ -279,11 +304,19 @@ def serialize_report(report: SimulationReport, format: str) -> bytes:
     raise ValueError(f"unknown report format {format!r} (expected 'json' or 'csv')")
 
 
+def _printable(text: str) -> str:
+    """``text`` with each character that is not printable written as its backslash escape."""
+    if text.isprintable():
+        return text
+    return "".join([ch if ch.isprintable() else repr(ch)[1:-1] for ch in text])
+
+
 def summarize(report: SimulationReport) -> str:
-    """Short human-readable digest; values rounded for presentation only."""
+    """Short human-readable digest, one line per item; values rounded for presentation only,
+    and control characters in the name and notes written as escapes (``\\n``, ``\\x07``)."""
     e, m, c = report.energy, report.emissions, report.costs
     lines = [
-        f"scenario: {report.scenario_name}",
+        f"scenario: {_printable(report.scenario_name)}",
         f"  energy: {_format_value(e.baseline_total)} -> {_format_value(e.optimized_total)} MWh"
         f" ({e.reduction_fraction * 100:.1f}% lower)",
         f"  emissions: {_format_value(m.baseline_emissions)} -> "
@@ -306,5 +339,5 @@ def summarize(report: SimulationReport) -> str:
         f" (savings ${c.total_savings / 1e6:.1f}M, {c.savings_fraction * 100:.1f}%)"
     )
     lines.append(f"  objective score: {_format_value(report.objective.total)}")
-    lines += [f"  note: {flag}" for flag in report.flags]
+    lines += [f"  note: {_printable(flag)}" for flag in report.flags]
     return "\n".join(lines)

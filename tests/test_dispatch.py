@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from portsim import (
+    Assignment,
     CostMatrix,
     DispatchError,
     assignment_cost,
@@ -242,12 +243,10 @@ def enumerate_injections(entries):
     return best[0][0], best[1]
 
 
-def rectangular_matrices():
+def rectangular_matrices(shapes=st.tuples(st.integers(1, 6), st.integers(1, 6))):
     ties = st.integers(min_value=0, max_value=3).map(float)
     wide = st.floats(min_value=1e-300, max_value=1e300)
-    return st.tuples(
-        st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6)
-    ).flatmap(
+    return shapes.flatmap(
         lambda shape: st.lists(
             st.lists(st.one_of(ties, wide), min_size=shape[1], max_size=shape[1]),
             min_size=shape[0],
@@ -265,6 +264,58 @@ def test_rectangular_wide_range_against_exact_enumeration(entries):
     solved = solve_assignment(CostMatrix.from_rows(entries))
     assert solved.mapping == mapping
     assert solved.total_cost == float(best)
+
+
+#: Up to 9x4 (tall) and 4x9 (wide).
+LONG_AND_SHORT = st.tuples(st.integers(5, 9), st.integers(1, 4), st.booleans()).map(
+    lambda s: (s[0], s[1]) if s[2] else (s[1], s[0])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=rectangular_matrices(LONG_AND_SHORT))
+@example(entries=[[0.0] * 4] * 9)
+@example(entries=[[0.0] * 9] * 4)
+@example(entries=[[float((i * j) % 3) for j in range(4)] for i in range(9)])
+@example(entries=[[1e300, 1.0, 1e-300, 2.0]] * 9)
+def test_tall_and_wide_matrices_against_exact_enumeration(entries):
+    # a tall matrix is solved as its transpose; the tie-break must not notice
+    best, mapping = enumerate_injections(entries)
+    solved = solve_assignment(CostMatrix.from_rows(entries))
+    assert solved.mapping == mapping
+    assert solved.total_cost == float(best)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+def test_single_column_and_single_row_matrices(n):
+    rng = random.Random(f"line-{n}")
+    for values in ([float(rng.randint(0, 2)) for _ in range(n)], [rng.uniform(0, 9) for _ in range(n)]):
+        best = values.index(min(values))  # the lowest index among the cheapest
+        column = solve_assignment(CostMatrix.from_rows([[x] for x in values]))
+        assert column.mapping == tuple(0 if i == best else None for i in range(n))
+        assert column.total_cost == values[best]
+        row = solve_assignment(CostMatrix.from_rows([values]))
+        assert row == Assignment(mapping=(best,), total_cost=values[best])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(0, 2**53), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0],
+        )
+    ),
+    k=st.integers(min_value=1, max_value=900),
+)
+@example(entries=[[3, 1, 2], [1, 3, 3]], k=1)
+@example(entries=[[2**53, 1], [1, 0], [5, 2**53]], k=900)
+def test_scaling_by_a_power_of_two_keeps_the_mapping(entries, k):
+    # integral entries take the int path, the scaled ones (odd entries / 2**k) the ratio path
+    solved = solve_assignment(CostMatrix.from_rows(entries))
+    scaled = solve_assignment(CostMatrix.from_rows([[math.ldexp(x, -k) for x in row] for row in entries]))
+    assert scaled.mapping == solved.mapping
+    assert scaled.total_cost == math.ldexp(solved.total_cost, -k)
 
 
 def test_all_zero_200_is_identity():

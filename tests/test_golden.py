@@ -2,7 +2,9 @@
 
 ``tests/golden`` holds, for both presets and six scenario files, the JSON
 and CSV reports and the summary as the program produced them before
-scenarios were checked on construction. A case named ``<case>`` reads
+scenarios were checked on construction, except ``escapes.summary.txt``,
+written again when the summary began escaping control characters in the
+scenario name and notes. A case named ``<case>`` reads
 ``<case>.scenario.json`` when that file exists and the preset otherwise.
 """
 

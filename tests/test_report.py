@@ -186,6 +186,15 @@ def test_summary_uses_presentation_rounding(yangshan_report):
     assert "1050" in text
 
 
+def test_summary_escapes_characters_that_are_not_printable(yangshan_report):
+    report = replace(
+        yangshan_report, scenario_name="a\nb\tc", flags=("bell \x07 del \x7f", "港湾 \\ \"q\"")
+    )
+    lines = summarize(report).split("\n")
+    assert lines[0] == "scenario: a\\nb\\tc"
+    assert lines[-2:] == ["  note: bell \\x07 del \\x7f", "  note: 港湾 \\ \"q\""]
+
+
 def test_run_rejects_a_dispatch_total_past_the_float_range():
     scenario = scenario_from_dict(make_scenario_dict(dispatch_matrix=[[1e308, 1e308]] * 2))
     with pytest.raises(ValidationError) as excinfo:
@@ -250,8 +259,21 @@ def _without_energy(raw):
          "energy.baseline_by_sector", "energy.baseline_by_sector is not an object"),
         (lambda raw: {**raw, "objective": {**raw["objective"], "total": "1"}},
          "objective.total", "objective.total is not a number"),
+        (lambda raw: {**raw, "scenario_name": 7}, "scenario_name", "scenario_name is not a string"),
+        (lambda raw: {**raw, "flags": "note"}, "flags", "flags is not a list"),
+        (lambda raw: {**raw, "flags": ["ok", None]}, "flags[1]", "flags[1] is not a string"),
+        (lambda raw: {**raw, "assignment": {**raw["assignment"], "mapping": {"0": 1}}},
+         "assignment.mapping", "assignment.mapping is not a list"),
+        (lambda raw: {**raw, "assignment": {**raw["assignment"], "mapping": [{"a": 1}, 2, 0]}},
+         "assignment.mapping[0]", "assignment.mapping[0] is not a column index or null"),
+        (lambda raw: {**raw, "assignment": {**raw["assignment"], "mapping": [1, True, 0]}},
+         "assignment.mapping[1]", "assignment.mapping[1] is not a column index or null"),
+        (lambda raw: {**raw, "assignment": {**raw["assignment"], "mapping": [1, 2.0, 0]}},
+         "assignment.mapping[1]", "assignment.mapping[1] is not a column index or null"),
     ],
-    ids=["empty-object", "array", "no-energy", "section-array", "nested-string", "number-string"],
+    ids=["empty-object", "array", "no-energy", "section-array", "nested-string", "number-string",
+         "name-number", "flags-string", "flag-null", "mapping-object", "mapping-object-entry",
+         "mapping-bool-entry", "mapping-float-entry"],
 )
 def test_report_of_the_wrong_shape_is_a_validation_error(yangshan_report, reshape, field, message):
     text = json.dumps(reshape(report_to_dict(yangshan_report)))
@@ -397,3 +419,9 @@ def test_every_accepted_document_runs_serializes_and_round_trips(doc):
     assert serialize_report(report, "csv").startswith(b"metric,value,unit\n")
     assert report_from_json(data) == report
     summarize(report)
+
+
+def test_report_with_unassigned_rows_round_trips():
+    report = run_scenario(scenario_from_dict(make_scenario_dict(dispatch_matrix=[[1.0], [2.0]])))
+    assert report.assignment.mapping == (0, None)
+    assert report_from_json(serialize_report(report, "json")) == report
