@@ -198,13 +198,16 @@ def _from_dict(raw: Any, cls: type, rows: tuple, prefix: str = "") -> Any:
 
 #: What each list field of the report holds: (item test, item description).
 _LIST_ITEMS = {
-    "assignment.mapping": (lambda j: j is None or type(j) is int, "a column index or null"),
+    "assignment.mapping": (
+        lambda j: j is None or (type(j) is int and j >= 0), "a column index or null"
+    ),
     "flags": (lambda flag: type(flag) is str, "a string"),
 }
 
 
 def _check_other(path: str, value: Any) -> None:
-    """Reject a ``scenario_name`` that is not a str, or a list field of the wrong type."""
+    """Reject a ``scenario_name`` that is not a str, a list field of the wrong type, or a
+    mapping that gives one column to two rows."""
     if path not in _LIST_ITEMS:
         if type(value) is not str:
             raise ValidationError(path, f"{path} is not a string")
@@ -212,16 +215,23 @@ def _check_other(path: str, value: Any) -> None:
     if type(value) is not list:
         raise ValidationError(path, f"{path} is not a list")
     test, what = _LIST_ITEMS[path]
+    columns = set()  # an assignment gives each column to one row at most
     for i, item in enumerate(value):
         if not test(item):  # an exact type test: a bool is not a column index
             raise ValidationError(f"{path}[{i}]", f"{path}[{i}] is not {what}")
+        if path == "assignment.mapping" and item is not None:
+            if item in columns:
+                raise ValidationError(f"{path}[{i}]", f"{path}[{i}] repeats column {item}")
+            columns.add(item)
 
 
 def report_from_dict(raw: dict[str, Any]) -> SimulationReport:
     """The inverse of ``report_to_dict``. A missing key, a section that is not an object, a
     number that is not a finite int or float, a name that is not a str, flags that are not
-    strs or a mapping entry that is not an int or None is a ValidationError naming its
-    report path."""
+    strs, or a mapping entry that is not None or a column index (an int >= 0 that no earlier
+    row holds) is a ValidationError naming its report path. The report does not carry the
+    matrix shape, so a column past the last one, or more rows than the matrix had, is not
+    detected."""
     report = _from_dict(raw, SimulationReport, _REPORT)
     _check_numbers(report, "report numbers must be finite")
     return report

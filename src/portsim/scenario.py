@@ -11,11 +11,13 @@ by its dotted path (``pv_arrays[2].module_efficiency``), in field
 declaration order.
 
 Each record's numeric fields are declared once, in ``*_RULES`` tables of
-``name -> (low, high, wording)``. A value passes on one comparison,
-``type(v) is float and low <= v <= high``, which also fails for NaN and
-the infinities; only a value that fails it takes the slow path, which
-accepts an int in range or raises with the field path and message.
-Parsing, checking and ``scenario_to_dict`` all read the same tables.
+``name -> (name, low, high, wording)`` steps. A value passes on one
+comparison, ``type(v) is float and low <= v <= high``, which also fails
+for NaN and the infinities; only a failing value takes the slow path,
+which accepts an int in range or raises with the field path, formatted
+only then. A file's record of finite floats under known keys is read in
+one walk, and any miss takes the exact path. Parsing, checking and
+``scenario_to_dict`` all read the same tables.
 
 Scenario files are JSON with keys named exactly like the record fields
 below. Unknown keys are rejected rather than ignored, so a typo in a file
@@ -40,11 +42,11 @@ from .objective import ObjectiveWeights
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Collection, Iterable
+    from collections.abc import Callable, Collection, Iterable, KeysView
     from os import PathLike
     from typing import Any
 
-    _Rules = dict[str, tuple[float, float, str]]
+    _Rules = dict[str, tuple[str, float, float, str]]
 
 #: Sector shares must sum to 1 within this tolerance; inputs are
 #: human-authored decimals, so anything larger is a typo.
@@ -126,11 +128,7 @@ class RenewableSupplySpec:
     ) -> "RenewableSupplySpec":
         if new_green_energy is None:
             new_green_energy = renewable_energy
-        return cls(
-            renewable_energy=float(renewable_energy),
-            source=source,
-            new_green_energy=float(new_green_energy),
-        )
+        return cls(float(renewable_energy), source, float(new_green_energy))
 
 
 @record
@@ -159,17 +157,10 @@ class PvArraySpec:
         sun_hours: float = renewables_model.DEFAULT_SUN_HOURS,
         performance_ratio: float = renewables_model.DEFAULT_PERFORMANCE_RATIO,
     ) -> "PvArraySpec":
-        if peak_power is None:
-            peak_power = renewables_model.pv_instant_power(
-                float(panel_area), float(irradiance), float(module_efficiency)
-            )
-        return cls(
-            panel_area=float(panel_area),
-            irradiance=float(irradiance),
-            module_efficiency=float(module_efficiency),
-            peak_power=float(peak_power),
-            sun_hours=float(sun_hours),
-            performance_ratio=float(performance_ratio),
+        peak_power = None if peak_power is None else float(peak_power)
+        return _pv_array(
+            float(panel_area), float(module_efficiency), float(irradiance), peak_power,
+            float(sun_hours), float(performance_ratio),
         )
 
 
@@ -198,18 +189,36 @@ class WindTurbineSpec:
         power_coefficient: float = renewables_model.DEFAULT_POWER_COEFFICIENT,
         average_power: float | None = None,
     ) -> "WindTurbineSpec":
-        if average_power is None:
-            average_power = renewables_model.wind_instant_power(
-                float(air_density), float(swept_area), float(wind_speed), float(power_coefficient)
-            )
-        return cls(
-            air_density=float(air_density),
-            swept_area=float(swept_area),
-            wind_speed=float(wind_speed),
-            power_coefficient=float(power_coefficient),
-            average_power=float(average_power),
-            operating_hours=float(operating_hours),
+        average_power = None if average_power is None else float(average_power)
+        return _wind_turbine(
+            float(swept_area), float(wind_speed), float(operating_hours), float(air_density),
+            float(power_coefficient), average_power,
         )
+
+
+# ``create`` minus its float() calls, for parsed floats; ``create``'s defaults are set below.
+def _pv_array(panel_area, module_efficiency, irradiance, peak_power, sun_hours, performance_ratio):
+    if peak_power is None:
+        peak_power = renewables_model.pv_instant_power(panel_area, irradiance, module_efficiency)
+    return PvArraySpec(
+        panel_area, irradiance, module_efficiency, peak_power, sun_hours, performance_ratio
+    )
+
+
+def _wind_turbine(
+    swept_area, wind_speed, operating_hours, air_density, power_coefficient, average_power
+):
+    if average_power is None:
+        average_power = renewables_model.wind_instant_power(
+            air_density, swept_area, wind_speed, power_coefficient
+        )
+    return WindTurbineSpec(
+        air_density, swept_area, wind_speed, power_coefficient, average_power, operating_hours
+    )
+
+
+_pv_array.__defaults__ = PvArraySpec.create.__defaults__
+_wind_turbine.__defaults__ = WindTurbineSpec.create.__defaults__
 
 
 @record
@@ -242,6 +251,8 @@ class Scenario:
 
 
 def _number(value: Any, field_name: str) -> float:
+    if type(value) is float and -_MAX <= value <= _MAX:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(field_name, f"{field_name} must be a number")
     try:
@@ -268,19 +279,24 @@ _FRACTION = (0.0, 1.0, "within [0, 1]")
 _POSITIVE = (_TINY, _MAX, "positive")
 _BETZ = (_TINY, renewables_model.BETZ_LIMIT, f"within (0, {renewables_model.BETZ_LIMIT}]")
 
-# Each record's numeric fields and their ranges, in declaration order.
-_THROUGHPUT_RULES = dict(teu_per_year=_NON_NEGATIVE, unit_energy=_NON_NEGATIVE)
-_SHARE_RULES = dict(
+
+def _rules(**ranges: tuple[float, float, str]) -> _Rules:
+    return {name: (name, *bounds) for name, bounds in ranges.items()}
+
+
+# Each record's numeric fields and their check steps, in declaration order.
+_THROUGHPUT_RULES = _rules(teu_per_year=_NON_NEGATIVE, unit_energy=_NON_NEGATIVE)
+_SHARE_RULES = _rules(
     equipment_share=_FRACTION, transport_share=_FRACTION, buildings_share=_FRACTION
 )
-_FACTOR_RULES = dict(
+_FACTOR_RULES = _rules(
     equipment_factor=_NON_NEGATIVE,
     transport_factor=_NON_NEGATIVE,
     buildings_factor=_NON_NEGATIVE,
     grid_factor=_NON_NEGATIVE,
 )
-_SUPPLY_RULES = dict(renewable_energy=_NON_NEGATIVE, new_green_energy=_NON_NEGATIVE)
-_PV_RULES = dict(
+_SUPPLY_RULES = _rules(renewable_energy=_NON_NEGATIVE, new_green_energy=_NON_NEGATIVE)
+_PV_RULES = _rules(
     panel_area=_NON_NEGATIVE,
     irradiance=_NON_NEGATIVE,
     module_efficiency=_FRACTION,
@@ -288,7 +304,7 @@ _PV_RULES = dict(
     sun_hours=_NON_NEGATIVE,
     performance_ratio=_FRACTION,
 )
-_WIND_RULES = dict(
+_WIND_RULES = _rules(
     air_density=_POSITIVE,
     swept_area=_NON_NEGATIVE,
     wind_speed=_NON_NEGATIVE,
@@ -296,8 +312,8 @@ _WIND_RULES = dict(
     average_power=_NON_NEGATIVE,
     operating_hours=_NON_NEGATIVE,
 )
-_COST_RULES = dict(baseline_cost_per_teu=_NON_NEGATIVE, optimized_cost_per_teu=_NON_NEGATIVE)
-_WEIGHT_RULES = dict(
+_COST_RULES = _rules(baseline_cost_per_teu=_NON_NEGATIVE, optimized_cost_per_teu=_NON_NEGATIVE)
+_WEIGHT_RULES = _rules(
     w_emissions=_NON_NEGATIVE,
     w_energy=_NON_NEGATIVE,
     w_dispatch=_NON_NEGATIVE,
@@ -309,12 +325,13 @@ _WEIGHT_RULES = dict(
 )
 
 
-def _check_record(record: Any, rules: _Rules, where: str) -> None:
+def _check_record(record: Any, rules: _Rules, where: str, index: int | None = None) -> None:
     values = record.__dict__
-    for name, (low, high, bounds) in rules.items():
+    for name, low, high, bounds in rules.values():
         value = values[name]
         if type(value) is not float or not low <= value <= high:
-            _out_of_range(value, f"{where}.{name}", low, high, bounds)
+            path = where if index is None else f"{where}[{index}]"
+            _out_of_range(value, f"{path}.{name}", low, high, bounds)
 
 
 def _modeled_supply(
@@ -359,9 +376,9 @@ def _check_scenario(scenario: Scenario) -> None:
         )
 
     for i, pv in enumerate(scenario.pv_arrays):
-        _check_record(pv, _PV_RULES, f"pv_arrays[{i}]")
+        _check_record(pv, _PV_RULES, "pv_arrays", i)
     for i, wt in enumerate(scenario.wind_turbines):
-        _check_record(wt, _WIND_RULES, f"wind_turbines[{i}]")
+        _check_record(wt, _WIND_RULES, "wind_turbines", i)
 
     if r.source is RenewableSource.FROM_PV_WIND_MODELS:
         modeled = _modeled_supply(scenario.pv_arrays, scenario.wind_turbines)
@@ -410,8 +427,8 @@ _SCENARIO_KEYS = {
     "pv_arrays", "wind_turbines", "dispatch_matrix", "objective_weights", "notes",
 }
 _SUPPLY_KEYS = {*_SUPPLY_RULES, "source"}
-_PV_REQUIRED = ("panel_area", "module_efficiency")
-_WIND_REQUIRED = ("swept_area", "wind_speed", "operating_hours")
+_PV_REQUIRED = dict.fromkeys(("panel_area", "module_efficiency")).keys()
+_WIND_REQUIRED = dict.fromkeys(("swept_area", "wind_speed", "operating_hours")).keys()
 _WEIGHT_KEYS = {*_WEIGHT_RULES, "renewables_reduce_score"}
 
 
@@ -432,26 +449,41 @@ def _parse_numbers(
     raw: Mapping[str, Any],
     rules: _Rules,
     where: str,
-    required: Iterable[str] | None = None,
+    required: KeysView[str] | frozenset[str] | None = None,
     allowed: Collection[str] | None = None,
-) -> dict[str, Any]:
+    index: int | None = None,
+) -> Mapping[str, Any]:
     """The keys of ``rules`` present in ``raw``, as finite floats.
 
     By default every key of ``rules`` is required and no other is allowed.
     Only types and finiteness are checked here; ranges are checked when
-    the Scenario is built, so errors keep their established order.
+    the Scenario is built, so errors keep their established order. A dict
+    of finite floats holding every ``required`` key (a keys view: set-like,
+    and ordered for the error) is returned as it is.
     """
     if required is None:
-        required = rules
+        required = rules.keys()
+    if type(raw) is dict and raw.keys() >= required:
+        for key, value in raw.items():
+            if key not in rules or type(value) is not float or not -_MAX <= value <= _MAX:
+                break
+        else:
+            return raw
+    where = where if index is None else f"{where}[{index}]"
     _check_keys(raw, rules if allowed is None else allowed, required, where)
-    values: dict[str, Any] = {}
-    for name in rules:
-        if name in raw:
-            value = raw[name]
-            if type(value) is not float or not -_MAX <= value <= _MAX:
-                value = _number(value, f"{where}.{name}")
-            values[name] = value
-    return values
+    return {name: _number(raw[name], f"{where}.{name}") for name in rules if name in raw}
+
+
+def _parse_assets(
+    raw: Mapping[str, Any], key: str, build: Callable, rules: _Rules, required: KeysView[str]
+) -> tuple[Any, ...]:
+    items = raw.get(key, [])
+    if not isinstance(items, list):
+        raise ValidationError(key, f"{key} must be a list")
+    return tuple([
+        build(**_parse_numbers(item, rules, key, required, index=i))
+        for i, item in enumerate(items)
+    ])
 
 
 def _parse_renewables(
@@ -483,13 +515,11 @@ def _parse_renewables(
     new_green = raw.get("new_green_energy")
     if new_green is not None:
         new_green = _number(new_green, "renewables.new_green_energy")
-    return RenewableSupplySpec.create(
-        renewable_energy=renewable_energy, source=source, new_green_energy=new_green
-    )
+    return RenewableSupplySpec.create(renewable_energy, source, new_green)
 
 
 def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
-    kwargs = _parse_numbers(raw, _WEIGHT_RULES, "objective_weights", (), _WEIGHT_KEYS)
+    kwargs = _parse_numbers(raw, _WEIGHT_RULES, "objective_weights", frozenset(), _WEIGHT_KEYS)
     if "renewables_reduce_score" in raw:
         flag = raw["renewables_reduce_score"]
         if not isinstance(flag, bool):
@@ -537,23 +567,8 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     if not isinstance(name, str):
         raise ValidationError("name", "name must be a string")
 
-    pv_raw = raw.get("pv_arrays", [])
-    if not isinstance(pv_raw, list):
-        raise ValidationError("pv_arrays", "pv_arrays must be a list")
-    pv_arrays = tuple(
-        PvArraySpec.create(**_parse_numbers(item, _PV_RULES, f"pv_arrays[{i}]", _PV_REQUIRED))
-        for i, item in enumerate(pv_raw)
-    )
-
-    wind_raw = raw.get("wind_turbines", [])
-    if not isinstance(wind_raw, list):
-        raise ValidationError("wind_turbines", "wind_turbines must be a list")
-    wind_turbines = tuple(
-        WindTurbineSpec.create(
-            **_parse_numbers(item, _WIND_RULES, f"wind_turbines[{i}]", _WIND_REQUIRED)
-        )
-        for i, item in enumerate(wind_raw)
-    )
+    pv_arrays = _parse_assets(raw, "pv_arrays", _pv_array, _PV_RULES, _PV_REQUIRED)
+    wind_turbines = _parse_assets(raw, "wind_turbines", _wind_turbine, _WIND_RULES, _WIND_REQUIRED)
 
     notes_raw = raw.get("notes", [])
     if not isinstance(notes_raw, list) or not all(isinstance(n, str) for n in notes_raw):

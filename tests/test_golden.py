@@ -1,11 +1,14 @@
 """Reports must stay byte-identical to the committed golden files.
 
-``tests/golden`` holds, for both presets and six scenario files, the JSON
+``tests/golden`` holds, for both presets and nine scenario files, the JSON
 and CSV reports and the summary as the program produced them before
 scenarios were checked on construction, except ``escapes.summary.txt``,
 written again when the summary began escaping control characters in the
-scenario name and notes. A case named ``<case>`` reads
-``<case>.scenario.json`` when that file exists and the preset otherwise.
+scenario name and notes, and the ``many-assets`` cases (24 PV arrays and
+16 turbines with a stated supply; 16 and 24 with the supply derived from
+them), written just before asset records were read in one walk. A case
+named ``<case>`` reads ``<case>.scenario.json`` when that file exists and
+the preset otherwise.
 """
 
 import os
@@ -35,7 +38,7 @@ def source(case):
 
 
 def test_every_case_is_covered():
-    assert len(FILE_CASES) == 7
+    assert len(FILE_CASES) == 9
 
 
 @pytest.mark.parametrize("case", PRESET_CASES + FILE_CASES)

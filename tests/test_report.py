@@ -270,10 +270,17 @@ def _without_energy(raw):
          "assignment.mapping[1]", "assignment.mapping[1] is not a column index or null"),
         (lambda raw: {**raw, "assignment": {**raw["assignment"], "mapping": [1, 2.0, 0]}},
          "assignment.mapping[1]", "assignment.mapping[1] is not a column index or null"),
+        (lambda raw: {**raw, "assignment": {**raw["assignment"], "mapping": [1, -1, 0]}},
+         "assignment.mapping[1]", "assignment.mapping[1] is not a column index or null"),
+        (lambda raw: {**raw, "assignment": {**raw["assignment"], "mapping": [2, None, 2]}},
+         "assignment.mapping[2]", "assignment.mapping[2] repeats column 2"),
+        (lambda raw: {**raw, "assignment": {**raw["assignment"], "mapping": [5, 5, -1, 7]}},
+         "assignment.mapping[1]", "assignment.mapping[1] repeats column 5"),
     ],
     ids=["empty-object", "array", "no-energy", "section-array", "nested-string", "number-string",
          "name-number", "flags-string", "flag-null", "mapping-object", "mapping-object-entry",
-         "mapping-bool-entry", "mapping-float-entry"],
+         "mapping-bool-entry", "mapping-float-entry", "mapping-negative-entry",
+         "mapping-repeated-column", "mapping-duplicate-and-negative"],
 )
 def test_report_of_the_wrong_shape_is_a_validation_error(yangshan_report, reshape, field, message):
     text = json.dumps(reshape(report_to_dict(yangshan_report)))

@@ -3,9 +3,10 @@ import json
 import math
 import sys
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import portsim.scenario as scenario_module
@@ -519,3 +520,104 @@ def test_one_bad_value_is_rejected_at_its_path(spot, value):
         replace(scenario, **changes)
     assert by_hand.value.field == path
     assert str(by_hand.value).startswith(f"{path} {message}")
+
+
+# ---------------------------------------------------------------------------
+# A record of finite floats is read in one walk; anything else takes the exact path
+# ---------------------------------------------------------------------------
+
+ASSETS = {
+    "pv_arrays": (
+        scenario_module._pv_array, scenario_module._PV_RULES, scenario_module._PV_REQUIRED,
+        PvArraySpec.create,
+    ),
+    "wind_turbines": (
+        scenario_module._wind_turbine, scenario_module._WIND_RULES,
+        scenario_module._WIND_REQUIRED, WindTurbineSpec.create,
+    ),
+}
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+ASSET_VALUES = st.one_of(
+    FINITE_FLOATS,
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from([10**400, -(10**400), True, False, "1.0", None, math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def asset_items(draw, key):
+    _, rules, required, _ = ASSETS[key]
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([None, [], "pv", 3.0, [1.0], ()]))
+    # A required key is there three times in four, any other key once in four. A third of
+    # the objects hold finite floats only, which the one walk takes when their keys are
+    # right, and a third floats of any kind, NaN and the infinities among them.
+    names = []
+    for name in [*rules, "colour"]:
+        if draw(st.integers(0, 3)) >= (1 if name in required else 3):
+            names.append(name)
+    values = draw(st.sampled_from([FINITE_FLOATS, st.floats(), ASSET_VALUES]))
+    return {name: draw(values) for name in draw(st.permutations(names))}
+
+
+def outcome(read):
+    """The record read, as its repr (so 1 and 1.0 differ), or the error's field and message."""
+    try:
+        return repr(read())
+    except ValidationError as exc:
+        return exc.field, str(exc)
+
+
+ASSET_CASES = st.sampled_from(sorted(ASSETS)).flatmap(
+    lambda key: st.tuples(st.just(key), asset_items(key))
+)
+
+
+@given(ASSET_CASES)
+@example(("pv_arrays", {"panel_area": math.nan, "module_efficiency": 0.2}))
+@example(("wind_turbines", {"swept_area": 1.0, "wind_speed": -math.inf, "operating_hours": 2.0}))
+@example(("pv_arrays", {"module_efficiency": 0.2, "panel_area": 10, "peak_power": 1e308}))
+def test_one_walk_read_matches_the_exact_path(case):
+    key, item = case
+    build, rules, required, create = ASSETS[key]
+    # A Mapping that is not a dict always takes the exact path of _parse_numbers.
+    exact_item = MappingProxyType(item) if isinstance(item, dict) else item
+
+    def exact():
+        return create(**scenario_module._parse_numbers(exact_item, rules, f"{key}[0]", required))
+
+    def fast():
+        return scenario_module._parse_assets({key: [item]}, key, build, rules, required)[0]
+
+    assert outcome(fast) == outcome(exact)
+
+
+PV = {"panel_area": 100.0, "module_efficiency": 0.2}
+
+#: Documents with two defects, and the error the program gave for each before records
+#: were read in one walk: key and type errors of every record come before any range error.
+TWO_DEFECTS = [
+    (
+        make_scenario_dict(
+            pv_arrays=[PV, {**PV, "module_efficiency": 1.5}], throughput={"teu_per_year": 1e6}
+        ),
+        "throughput.unit_energy",
+        "missing required key 'unit_energy' in throughput",
+    ),
+    (
+        make_scenario_dict(
+            pv_arrays=[{**PV, "panel_area": "big"}],
+            shares={"equipment_share": 0.5, "transport_share": 0.3, "buildings_share": 0.3},
+        ),
+        "pv_arrays[0].panel_area",
+        "pv_arrays[0].panel_area must be a number",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, field, message", TWO_DEFECTS, ids=["range-and-key", "type-and-sum"])
+def test_the_first_of_two_defects_is_reported(raw, field, message):
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(raw)
+    assert (excinfo.value.field, str(excinfo.value)) == (field, message)
