@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Mapping
-from enum import Enum
 
 from . import renewables as renewables_model
 from ._record import record, replace
@@ -42,7 +40,7 @@ from .objective import ObjectiveWeights
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Collection, Iterable, KeysView
+    from collections.abc import Callable, Collection, Iterable, Iterator, KeysView, Mapping
     from os import PathLike
     from typing import Any
 
@@ -60,11 +58,33 @@ _MAX = sys.float_info.max
 _TINY = 5e-324  # the smallest positive float
 
 
-class RenewableSource(str, Enum):
-    """Where the scenario's renewable supply figure comes from."""
+class _Members(type):
+    def __iter__(cls) -> Iterator[RenewableSource]:
+        return iter((cls.EXPLICIT, cls.FROM_PV_WIND_MODELS))
 
-    EXPLICIT = "explicit"
-    FROM_PV_WIND_MODELS = "from_pv_wind_models"
+
+class RenewableSource(str, metaclass=_Members):
+    """Where the scenario's renewable supply figure comes from: two ``str``
+    constants used like a ``(str, Enum)``'s members, without importing ``enum``."""
+
+    def __new__(cls, value: object) -> RenewableSource:
+        for member in cls:  # a scan, not a dict: the value may be unhashable
+            if member == value:
+                return member
+        raise ValueError(f"{value!r} is not a valid {cls.__name__}")
+
+    value = property(str.__str__)
+    name = property(str.upper)  # each name is its value in capitals
+
+    def __repr__(self) -> str:
+        return f"<RenewableSource.{self.name}: {self.value!r}>"
+
+    def __reduce_ex__(self, protocol: object) -> tuple[type, tuple[str]]:
+        return RenewableSource, (self.value,)  # so pickle and copy return the member
+
+
+RenewableSource.EXPLICIT = str.__new__(RenewableSource, "explicit")
+RenewableSource.FROM_PV_WIND_MODELS = str.__new__(RenewableSource, "from_pv_wind_models")
 
 
 @record
@@ -435,8 +455,10 @@ _WEIGHT_KEYS = {*_WEIGHT_RULES, "renewables_reduce_score"}
 def _check_keys(
     raw: Mapping[str, Any], allowed: Collection[str], required: Iterable[str], where: str
 ) -> None:
-    if type(raw) is not dict and not isinstance(raw, Mapping):
-        raise ValidationError(where, f"{where} must be an object")
+    if type(raw) is not dict:
+        from collections.abc import Mapping
+        if not isinstance(raw, Mapping):
+            raise ValidationError(where, f"{where} must be an object")
     for key in raw:
         if key not in allowed:
             raise ValidationError(f"{where}.{key}", f"unknown key '{key}' in {where}")
@@ -519,7 +541,11 @@ def _parse_renewables(
 
 
 def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
-    kwargs = _parse_numbers(raw, _WEIGHT_RULES, "objective_weights", frozenset(), _WEIGHT_KEYS)
+    numbers = raw
+    if type(raw) is dict and "renewables_reduce_score" in raw:
+        numbers = raw.copy()  # the flag is no float, so it would miss the one-walk read
+        del numbers["renewables_reduce_score"]
+    kwargs = _parse_numbers(numbers, _WEIGHT_RULES, "objective_weights", frozenset(), _WEIGHT_KEYS)
     if "renewables_reduce_score" in raw:
         flag = raw["renewables_reduce_score"]
         if not isinstance(flag, bool):
@@ -630,10 +656,32 @@ def scenario_to_json(scenario: Scenario) -> str:
     return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
 
 
-def scenario_from_json(text: str) -> Scenario:
-    import json  # here, not at the top: a preset never parses JSON text
+class _Json:  # what json.loads gives its C scanner, and the scanner, built on first use
+    strict, object_hook, object_pairs_hook = True, None, None
+    parse_float, parse_int, scan = float, int, None
+    parse_constant = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}.__getitem__
+
+
+def _loads(text: str) -> Any:
+    """``json.loads(text)``; json's own C scanner reads a valid document without ``json``."""
     try:
-        raw = json.loads(text)
+        if _Json.scan is None:
+            from _json import make_scanner
+            _Json.scan = make_scanner(_Json)
+        if type(text) is str:  # bytes go to json, as does a BOM, which the scanner refuses
+            value, end = _Json.scan(text, len(text) - len(text.lstrip(" \t\n\r")))
+            if not text[end:].strip(" \t\n\r"):
+                return value
+    # SystemError: before Python 3.12 the scanner raises a syntax error only once json is loaded
+    except (ImportError, StopIteration, ValueError, SystemError):
+        pass
+    import json
+    return json.loads(text)
+
+
+def scenario_from_json(text: str) -> Scenario:
+    try:
+        raw = _loads(text)
     # JSONDecodeError, an int beyond Python's digit limit, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise ValidationError("scenario", f"invalid JSON: {exc}") from None

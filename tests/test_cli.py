@@ -139,13 +139,14 @@ def test_existing_file_beats_preset_name(tmp_path, monkeypatch, capsys):
 
 def test_cli_import_leaves_out_pathlib_and_typing():
     # every command starts a fresh interpreter, which pays for each import;
-    # dataclasses and what it imports (inspect, ast, dis, tokenize) cost ~30 ms
+    # dataclasses and what it imports (inspect, ast, dis, tokenize) cost ~30 ms,
+    # and enum brings functools and collections, which runpy loads anyway under -m
     src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
     unwanted = {
         "pathlib", "typing", "fractions", "dataclasses", "inspect", "ast", "dis", "tokenize",
-        "argparse", "json", "re",
+        "argparse", "json", "re", "enum", "functools", "collections",
     }
-    for module in ("portsim.cli", "portsim"):
+    for module in ("portsim.cli", "portsim", "portsim.cli, portsim.presets, portsim.report"):
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import {module}; "
             f"print(sorted({unwanted!r} & set(sys.modules)))"
@@ -156,7 +157,7 @@ def test_cli_import_leaves_out_pathlib_and_typing():
         assert proc.stdout.strip() == "[]", module
 
 
-PARSER_MODULES = {"argparse", "gettext", "locale", "shutil"}
+PARSER_MODULES = {"argparse", "gettext", "locale", "shutil", "enum"}
 JSON_MODULES = {"json", "re"}
 SCENARIO_MODULES = {"portsim.scenario", "portsim.report"}
 
@@ -167,14 +168,17 @@ SCENARIO_MODULES = {"portsim.scenario", "portsim.report"}
         (["run", "yangshan-phase4"], PARSER_MODULES | JSON_MODULES),
         (["run", "yangshan-phase4", "--format", "csv"], PARSER_MODULES | JSON_MODULES),
         (["validate", "yangshan-phase4"], PARSER_MODULES | JSON_MODULES),
-        (["run", "scenario.json"], PARSER_MODULES),
+        (["run", "scenario.json"], PARSER_MODULES | JSON_MODULES),
         (["presets"], PARSER_MODULES | JSON_MODULES | SCENARIO_MODULES),
         (["dispatch", "grid.csv"], PARSER_MODULES | JSON_MODULES | SCENARIO_MODULES),
+        (["run", "scenario.json", "--format", "csv"], PARSER_MODULES | JSON_MODULES),
+        (["validate", "scenario.json"], PARSER_MODULES | JSON_MODULES),
     ],
 )
 def test_each_subcommand_imports_only_what_it_runs(tmp_path, args, unwanted):
     # a command's own imports are most of its cost: argparse alone pulls in gettext,
-    # locale and shutil (with zlib, bz2 and lzma), and json pulls in re
+    # locale and shutil (with zlib, bz2 and lzma), json pulls in re, and re and
+    # argparse pull in enum; a valid scenario file is read without json
     write_scenario(tmp_path)
     (tmp_path / "grid.csv").write_text("420,350,450\n450,400,280\n420,360,390\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
@@ -305,6 +309,25 @@ def test_json_beyond_parser_limits_is_invalid_json(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
     assert one_line_error(capsys).startswith("scenario: invalid JSON: ")
+
+
+def test_invalid_json_in_a_fresh_interpreter_is_a_one_line_error(tmp_path):
+    # a cold command has not loaded json, which the C scanner needs for its syntax errors
+    # before Python 3.12; the error is json's own
+    (tmp_path / "bad.json").write_text('{"name": "x", "shares": {')
+    src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
+    code = (
+        f"import runpy, sys; sys.path.insert(0, {src!r}); sys.argv = ['portsim', 'validate', 'bad.json']\n"
+        "runpy.run_module('portsim.cli', run_name='__main__')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "scenario: invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 26 (char 25)\n"
+    )
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

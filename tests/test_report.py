@@ -322,9 +322,12 @@ HAND_BUILT_REPORTS = st.builds(
     energy=st.builds(EnergyResult, NUMBERS, records(SectorEnergyBreakdown, 3), NUMBERS, NUMBERS),
     emissions=records(EmissionsResult, 7),
     generation=st.none() | records(GenerationResult, 3),
+    # an assignment gives each column to one row at most, and may leave rows unassigned
     assignment=st.none() | st.builds(
         Assignment,
-        st.lists(st.none() | st.integers(min_value=0, max_value=10**20), max_size=6).map(tuple),
+        st.lists(st.integers(min_value=0, max_value=10**20), unique=True, max_size=6).flatmap(
+            lambda columns: st.tuples(*[st.none() | st.just(j) for j in columns])
+        ),
         NUMBERS,
     ),
     costs=records(CostReport, 7),
@@ -338,6 +341,7 @@ HAND_BUILT_REPORTS = st.builds(
 def test_json_emitter_matches_json_dumps(report):
     expected = (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
     assert serialize_report(report, "json") == expected
+    assert report_from_json(expected) == report
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
+import ast
 import copy
 import json
 import math
+import os
+import pickle
+import subprocess
 import sys
 from dataclasses import replace
 from types import MappingProxyType
@@ -621,3 +625,192 @@ def test_the_first_of_two_defects_is_reported(raw, field, message):
     with pytest.raises(ValidationError) as excinfo:
         scenario_from_dict(raw)
     assert (excinfo.value.field, str(excinfo.value)) == (field, message)
+
+
+# ---------------------------------------------------------------------------
+# Objective weights: the boolean flag does not keep the numbers off the one walk
+# ---------------------------------------------------------------------------
+
+
+def test_weights_with_the_flag_are_read_in_one_walk(monkeypatch):
+    checked = []
+    check_keys = scenario_module._check_keys
+
+    def recording_check_keys(raw, allowed, required, where):
+        checked.append(where)
+        check_keys(raw, allowed, required, where)
+
+    monkeypatch.setattr(scenario_module, "_check_keys", recording_check_keys)
+    weights = {"w_energy": 2.0, "renewables_reduce_score": False}
+    scenario = scenario_from_dict(make_scenario_dict(objective_weights=weights))
+    assert scenario.objective_weights == ObjectiveWeights(w_energy=2.0, renewables_reduce_score=False)
+    assert "objective_weights" not in checked
+    assert weights == {"w_energy": 2.0, "renewables_reduce_score": False}  # the input is left as it was
+
+
+#: Weights objects holding the flag and a defect, with the error the program gave before
+#: the flag was taken out ahead of the walk: key and number errors first, then the flag,
+#: and the flag before any range error.
+WEIGHT_DEFECTS = [
+    ({"w_emissions": "x", "renewables_reduce_score": 1},
+     "objective_weights.w_emissions", "objective_weights.w_emissions must be a number"),
+    ({"renewables_reduce_score": 1, "colour": 1.0},
+     "objective_weights.colour", "unknown key 'colour' in objective_weights"),
+    ({"renewables_reduce_score": "yes", "w_energy": 2},
+     "objective_weights.renewables_reduce_score",
+     "objective_weights.renewables_reduce_score must be a boolean"),
+    ({"renewables_reduce_score": 1, "w_energy": -2.0},
+     "objective_weights.renewables_reduce_score",
+     "objective_weights.renewables_reduce_score must be a boolean"),
+]
+
+
+@pytest.mark.parametrize(
+    "weights, field, message", WEIGHT_DEFECTS, ids=["number", "unknown-key", "flag", "flag-and-range"]
+)
+def test_weights_errors_keep_their_order(weights, field, message):
+    for weights_raw in (weights, MappingProxyType(weights)):
+        raw = make_scenario_dict()
+        raw["objective_weights"] = weights_raw
+        with pytest.raises(ValidationError) as excinfo:
+            scenario_from_dict(raw)
+        assert (excinfo.value.field, str(excinfo.value)) == (field, message)
+
+
+# ---------------------------------------------------------------------------
+# RenewableSource: two str constants that behave like the members of an Enum
+# ---------------------------------------------------------------------------
+
+
+def test_renewable_source_members():
+    explicit, modeled = RenewableSource.EXPLICIT, RenewableSource.FROM_PV_WIND_MODELS
+    assert list(RenewableSource) == [explicit, modeled]
+    assert [(m.name, m.value) for m in RenewableSource] == [
+        ("EXPLICIT", "explicit"), ("FROM_PV_WIND_MODELS", "from_pv_wind_models")
+    ]
+    assert RenewableSource("explicit") is explicit
+    assert RenewableSource("from_pv_wind_models") is modeled and RenewableSource(modeled) is modeled
+    assert isinstance(explicit, str) and explicit == "explicit" and explicit != modeled
+    assert str(explicit) == "explicit" and type(explicit.value) is str
+    assert hash(explicit) == hash(explicit.value) and {"explicit": 1}[explicit] == 1
+    assert repr(modeled) == "<RenewableSource.FROM_PV_WIND_MODELS: 'from_pv_wind_models'>"
+    for member in RenewableSource:
+        assert copy.copy(member) is member and copy.deepcopy(member) is member
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(member, protocol)) is member
+
+
+@pytest.mark.parametrize("value", ["EXPLICIT", "", None, 1, ["explicit"], {"explicit": 1}])
+def test_unknown_renewable_source_is_a_value_error(value):
+    with pytest.raises(ValueError) as excinfo:
+        RenewableSource(value)
+    assert str(excinfo.value) == f"{value!r} is not a valid RenewableSource"
+
+
+# ---------------------------------------------------------------------------
+# Scenario text is read by json's C scanner, with json.loads's outcome for any text
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+#: JSON's whitespace, and characters that are whitespace to str.strip but not to JSON
+PADDING = st.text(alphabet=" \t\n\r\x0b\x0c\xa0\u2028", max_size=3)
+
+
+@st.composite
+def json_texts(draw):
+    """A document as json.dumps writes it, padded, and one time in two with a few
+    characters spliced in or cut out, which mostly makes it invalid."""
+    text = json.dumps(
+        draw(JSON_VALUES), ensure_ascii=draw(st.booleans()), indent=draw(st.none() | st.just(2))
+    )
+    text = draw(PADDING) + text + draw(PADDING)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        splice = draw(st.text(alphabet='{}[]",:\\ 0-.eEaNI\ufeff\x01', max_size=2))
+        text = text[:at] + splice + text[at + cut:]
+    return text
+
+
+JSON_EDGE_CASES = {
+    "bom": "\ufeff{}",
+    "bom-only": "\ufeff",
+    "empty": "",
+    "whitespace-only": " \t\n\r",
+    "trailing-data": '{"a": 1} x',
+    "two-values": "1 2",
+    "trailing-whitespace": '  {"a": [1, 2.5, true, null]} \n\t\r',
+    "not-json-whitespace": "\x0c{}\xa0",
+    "constants": "[NaN, Infinity, -Infinity]",
+    "long-int": "9" * 5000,
+    "control-character": '{"name": "a\x01b"}',
+    "nesting": "[" * 100_000,
+    "truncated": '{"name": "x", "shares": {',
+    "repeated-key": '{"a": 1, "a": 2}',
+    "lone-surrogate": '"\\ud800"',
+    "bytes": b'{"a": [1.5]}',
+}
+
+
+def json_outcome(read, text):
+    """What reading ``text`` gives: the value's repr (so 1, 1.0 and True differ and NaN
+    equals NaN), or the exception's type and text."""
+    try:
+        return repr(read(text))
+    except (ValueError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_reads_like_json_loads(text, with_c_scanner):
+    with pytest.MonkeyPatch.context() as mp:
+        if not with_c_scanner:  # as on an interpreter without the _json accelerator
+            mp.setitem(sys.modules, "_json", None)
+            mp.setattr(scenario_module._Json, "scan", None)
+        assert json_outcome(scenario_module._loads, text) == json_outcome(json.loads, text)
+
+
+@pytest.mark.parametrize("with_c_scanner", [True, False], ids=["c-scanner", "no-_json"])
+@pytest.mark.parametrize("text", JSON_EDGE_CASES.values(), ids=JSON_EDGE_CASES.keys())
+def test_scenario_text_edge_cases_read_like_json_loads(text, with_c_scanner):
+    assert_reads_like_json_loads(text, with_c_scanner)
+
+
+@given(json_texts(), st.booleans())
+def test_scenario_text_reads_like_json_loads(text, with_c_scanner):
+    assert_reads_like_json_loads(text, with_c_scanner)
+
+
+def test_a_fresh_interpreter_reads_like_json_loads():
+    # Before Python 3.12 the C scanner can raise its syntax errors only when json.decoder
+    # is loaded, and a cold `portsim validate FILE` has not loaded it: each text is read
+    # with json unloaded again.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scenario_module.__file__)))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from portsim.scenario import _loads\n"
+        "outcomes = []\n"
+        f"for text in {list(JSON_EDGE_CASES.values())!r}:\n"
+        "    for name in [m for m in sys.modules if m == 'json' or m.startswith('json.')]:\n"
+        "        del sys.modules[name]\n"
+        "    try:\n"
+        "        outcomes.append(repr(_loads(text)))\n"
+        "    except (ValueError, RecursionError) as exc:\n"
+        "        outcomes.append((type(exc).__name__, str(exc)))\n"
+        "print(repr(outcomes))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    expected = [json_outcome(json.loads, text) for text in JSON_EDGE_CASES.values()]
+    assert ast.literal_eval(proc.stdout) == expected
+
+
+def test_the_scanner_is_built_once():
+    scenario_module._loads("{}")
+    scan = scenario_module._Json.scan
+    assert scan is not None
+    assert scenario_module._loads('{"a": [1]}') == {"a": [1]} and scenario_module._Json.scan is scan
