@@ -6,15 +6,15 @@ The solver finds an exact optimum in O(n^3) for n = max(rows, cols):
   float is m * 2**e), so dual potentials and every comparison are exact,
   with no tolerance. ``total_cost`` is the ``math.fsum`` of the selected
   original entries (``DispatchError`` if it passes the float range).
-* A wide matrix is padded to square with all-zero rows. A tall one is
-  solved as its transpose padded the same way, then matching and duals are
-  swapped back. A perfect matching of the padded square covers every real
-  row or every real column, which is the max-cardinality optimum; rows
-  matched to a padded column are reported as unassigned.
-* One augmenting-path Hungarian solve with row and column potentials
-  gives an optimal matching and optimal duals. Like the solvers of
-  Jonker & Volgenant (1987) and Crouse (2016), it takes a free column
-  among equally cheap ones, which keeps tie-heavy matrices fast.
+* A shortest-augmenting-path solve in the rectangular form of Crouse
+  (2016) matches every row of the shorter side (a tall matrix is solved
+  as its transpose) with no padding. It starts from the row minima and
+  takes a free column among equally near ones, as Jonker & Volgenant
+  (1987) do, which keeps tie-heavy matrices fast. Its duals are optimal,
+  and zero on every column it leaves free.
+* Only the tie-break sees a square: the shorter side gets all-zero lines
+  with zero duals, each matched to a line left free, so the duals stay optimal.
+  Rows matched to a padded column are reported as unassigned.
 
 Among all minimum-cost assignments the solver returns the one that is
 lexicographically smallest row by row (row 0 gets the lowest column index
@@ -62,11 +62,13 @@ class CostMatrix:
         if not entries or not entries[0]:
             raise DispatchError("cost matrix must have at least one row and one column")
         width = len(entries[0])
+        # A NaN, an infinity or a sum past the float range fails this test;
+        # the loop below then names the entry, or accepts the row.
+        if all(len(row) == width and 0.0 <= min(row) and sum(row) < math.inf for row in entries):
+            return
         for i, row in enumerate(entries):
             if len(row) != width:
-                raise DispatchError(
-                    f"cost matrix row {i} has {len(row)} entries, expected {width}"
-                )
+                raise DispatchError(f"cost matrix row {i} has {len(row)} entries, expected {width}")
             for j, value in enumerate(row):
                 if not 0.0 <= value < math.inf:  # NaN, infinities and negatives
                     problem = "negative" if math.isfinite(value) else "not finite"
@@ -109,33 +111,35 @@ class Assignment:
 def solve_assignment(matrix: CostMatrix) -> Assignment:
     """Return a minimum-total-cost assignment with the deterministic tie-break.
 
-    One O(n^3) Hungarian solve on the exact integer costs, zero-padded to
-    square or transposed, gives an optimal matching and optimal duals. The
-    canonical (lexicographically smallest optimal) mapping is then read off
-    the tight subgraph of those duals in O(n^3), in the original orientation:
-    for each row in order, the smallest tight column whose holder, a later
+    A rectangular shortest-augmenting-path solve on the exact integer
+    costs gives an optimal matching of the short side and optimal duals.
+    Both are padded to square with zero lines, and the canonical
+    (lexicographically smallest optimal) mapping is read off the tight
+    subgraph of those duals in O(n^3), in the original orientation: for
+    each row in order, the smallest tight column whose holder, a later
     row, can be re-routed along tight edges to the row's current column.
     """
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     n = max(n_rows, n_cols)
     cost = _integer_costs(matrix.entries)
-    if n_cols < n:  # tall: solve the transpose, padded with zero rows, and swap back
-        row4col, col4row, v, u = _hungarian([*zip(*cost), *[[0] * n] * (n - n_cols)], n)
-        u.pop()  # the transpose's virtual column
-        cost = [row + [0] * (n - n_cols) for row in cost]  # the tie-break's orientation
+    tall = n_cols < n_rows
+    # Solve the short side; its free partners get zero lines with zero duals.
+    a4b, b4a, ua, vb = _shortest_paths([*zip(*cost)] if tall else cost, n)
+    free = [b for b in range(n) if b4a[b] < 0]
+    for k, b in enumerate(free, len(a4b)):
+        b4a[b] = k
+    a4b += free
+    ua += [0] * len(free)
+    if tall:
+        row4col, col4row, v, u = a4b, b4a, ua, vb
+        cost = [row + [0] * len(free) for row in cost]
     else:
-        cost.extend([0] * n for _ in range(n - n_rows))
-        col4row, row4col, u, v = _hungarian(cost, n)
+        col4row, row4col, u, v = a4b, b4a, ua, vb
+        cost += [[0] * n for _ in free]
     _tie_break(cost, n, col4row, row4col, u, v)
-    mapping: list[int | None] = []
-    selected: list[float] = []
-    for row, j in zip(matrix.entries, col4row):
-        if j < n_cols:
-            mapping.append(j)
-            selected.append(row[j])
-        else:
-            mapping.append(None)
-    return Assignment(mapping=tuple(mapping), total_cost=_total(selected))
+    mapping = tuple([j if j < n_cols else None for j in col4row[:n_rows]])
+    selected = [row[j] for row, j in zip(matrix.entries, mapping) if j is not None]
+    return Assignment(mapping=mapping, total_cost=_total(selected))
 
 
 def brute_force_assignment(matrix: CostMatrix) -> Assignment:
@@ -218,60 +222,56 @@ def _integer_costs(entries: tuple[tuple[float, ...], ...]) -> list[list[int]]:
     return [[p * (scale // q) for p, q in row] for row in ratios]
 
 
-def _hungarian(cost: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Augmenting-path Hungarian solve of a square integer matrix.
-
-    Returns ``(col4row, row4col, u, v)``: an optimal perfect matching, seen
-    from both sides, and dual potentials with ``cost[i][j] - u[i] - v[j]``
-    non-negative everywhere and zero on every matched pair. Among columns
-    at the minimum slack a free one is taken, which ends the search for an
-    augmenting path early on ties.
+def _shortest_paths(cost: Sequence[Sequence[int]], nc: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Shortest-augmenting-path solve (Crouse 2016) of every row of an
+    integer matrix with ``len(cost) <= nc`` columns: ``(col4row, row4col,
+    u, v)``, an optimal matching seen from both sides (``-1`` on a free
+    column) and duals with ``cost[i][j] - u[i] - v[j]`` non-negative, and
+    zero on matched pairs. A free column wins a tie in distance. ``v``
+    starts at zero and falls only on columns a search reaches, which stay
+    matched, so it is zero on every free column.
     """
-    inf = math.inf
-    u = [0] * n
-    v = [0] * (n + 1)
-    match = [-1] * (n + 1)  # match[j] = row matched to column j; index n is virtual
-    way = [0] * n
-    for i in range(n):
-        match[n] = i
-        j0 = n
-        minv: list[float] = [inf] * n
-        used = [False] * (n + 1)
+    u = list(map(min, cost))
+    v = [0] * nc
+    col4row = [-1] * len(cost)
+    row4col = [-1] * nc
+    for i, row in enumerate(cost):  # each row on its cheapest column, if free
+        j = row.index(u[i])
+        if row4col[j] < 0:
+            col4row[i] = j
+            row4col[j] = i
+    path = [0] * nc
+    for start in [i for i, j in enumerate(col4row) if j < 0]:
+        dist: list[float] = [math.inf] * nc
+        remaining = list(range(nc))
+        scanned = []  # matched columns the search reached
+        i, low = start, 0
         while True:
-            used[j0] = True
-            i0 = match[j0]
-            base = u[i0]
-            row = cost[i0]
-            delta = inf
-            j1 = -1
-            for j in range(n):
-                if not used[j]:
-                    cur = row[j] - base - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta or (minv[j] == delta and match[j] < 0 <= match[j1]):
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
+            row, base = cost[i], low - u[i]
+            low, pick = math.inf, -1
+            for j in remaining:
+                d = base + row[j] - v[j]
+                if d < dist[j]:
+                    dist[j] = d
+                    path[j] = i
                 else:
-                    minv[j] -= delta
-            u[match[n]] += delta
-            v[n] -= delta
-            j0 = j1
-            if match[j0] == -1:
+                    d = dist[j]
+                if d < low or d == low and row4col[j] < 0 <= row4col[pick]:
+                    low, pick = d, j
+            remaining.remove(pick)
+            i = row4col[pick]
+            if i < 0:
                 break
-        while j0 != n:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    col4row = [0] * n
-    for j in range(n):
-        col4row[match[j]] = j
-    return col4row, match[:n], u, v
+            scanned.append(pick)
+        u[start] += low
+        for j in scanned:
+            v[j] -= low - dist[j]
+            u[row4col[j]] += low - dist[j]
+        while pick >= 0:  # flip the path back to ``start``, whose column is -1
+            i = path[pick]
+            row4col[pick] = i
+            col4row[i], pick = pick, col4row[i]
+    return col4row, row4col, u, v
 
 
 def _tie_break(

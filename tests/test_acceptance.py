@@ -136,7 +136,7 @@ def test_criterion_7_property_suites():
                 rho, area, v, cp
             )
 
-        # Hungarian potential invariance on n <= 5, verified via enumeration
+        # assignment potential invariance on n <= 5, verified via enumeration
         for _ in range(60):
             n = rng.randint(2, 5)
             entries = [[float(rng.randint(0, 100)) for _ in range(n)] for _ in range(n)]

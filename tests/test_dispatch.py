@@ -16,6 +16,7 @@ from portsim import (
     load_cost_matrix,
     solve_assignment,
 )
+from portsim.dispatch import _shortest_paths
 from conftest import PAPER_MATRIX
 
 
@@ -141,6 +142,24 @@ def test_negative_entries_rejected():
         CostMatrix(entries=((1.0, 0.5), (-2.0, 3.0)))
     with pytest.raises(DispatchError, match="row 1 has 1 entries"):
         CostMatrix(entries=((1.0, 0.5), (2.0,)))
+
+
+@pytest.mark.parametrize(
+    ("value", "problem"), [(math.nan, "not finite"), (math.inf, "not finite"), (-0.5, "negative")]
+)
+def test_bad_entry_in_the_last_row_is_named(value, problem):
+    with pytest.raises(DispatchError, match=rf"^cost matrix entry \(2, 1\) is {problem}$"):
+        CostMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, value, 9]])
+
+
+def test_short_row_after_good_rows_is_named():
+    with pytest.raises(DispatchError, match="^cost matrix row 2 has 1 entries, expected 3$"):
+        CostMatrix(entries=((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0,)))
+
+
+def test_row_whose_float_sum_overflows_and_negative_zero_are_accepted():
+    assert CostMatrix.from_rows([[1e308, 1e308]]).entries == ((1e308, 1e308),)
+    assert solve_assignment(CostMatrix.from_rows([[-0.0, 1.0]])).mapping == (0,)
 
 
 def test_total_past_the_float_range_rejected():
@@ -330,14 +349,70 @@ def test_integer_totals_match_scipy(n):
     np = pytest.importorskip("numpy")
     optimize = pytest.importorskip("scipy.optimize")
     rng = random.Random(f"scipy-{n}")
-    for rows, cols, hi in ((n, n, 1000), (n, n, 3), (n // 2, n, 1000), (n, n // 2, 1000)):
-        entries = [[float(rng.randint(0, hi)) for _ in range(cols)] for _ in range(rows)]
+    cases = [
+        [[float(rng.randint(0, hi)) for _ in range(cols)] for _ in range(rows)]
+        for rows, cols, hi in ((n, n, 1000), (n, n, 3), (n // 2, n, 1000), (n, n // 2, 1000))
+    ]
+    # non-integral costs, with a unique optimum: the rational path
+    cases.append([[(i + 1) * (j + 1) / 7 for j in range(n)] for i in range(n)])
+    for entries in cases:
+        rows, cols = len(entries), len(entries[0])
         solved = solve_assignment(CostMatrix.from_rows(entries))
         cost = np.array(entries)
         r, c = optimize.linear_sum_assignment(cost)
-        assert solved.total_cost == float(cost[r, c].sum())
+        assert solved.total_cost == math.fsum(cost[r, c].tolist())
         assigned = [j for j in solved.mapping if j is not None]
         assert len(assigned) == len(set(assigned)) == min(rows, cols)
+
+
+@pytest.mark.parametrize(("rows", "cols"), [(200, 200), (100, 200), (200, 100)])
+def test_every_assignment_of_i_plus_j_ties(rows, cols):
+    # each full assignment of i + j costs the same, so the tie-break decides alone
+    solved = solve_assignment(CostMatrix.from_rows([[i + j for j in range(cols)] for i in range(rows)]))
+    assert solved.mapping == tuple(i if i < cols else None for i in range(rows))
+    k = min(rows, cols)
+    assert solved.total_cost == k * (k - 1)
+
+
+def short_side_matrices():
+    """Integer matrices with no more rows than columns: entries 0-3 (ties),
+    0-1000, or of any magnitude up to 2**80 (a wide range)."""
+    wide = st.integers(0, 80).flatmap(lambda k: st.integers(0, 2**k))
+    return st.sampled_from([st.integers(0, 3), st.integers(0, 1000), wide]).flatmap(
+        lambda entry: st.tuples(st.integers(1, 8), st.integers(0, 4)).flatmap(
+            lambda shape: st.lists(
+                st.lists(entry, min_size=sum(shape), max_size=sum(shape)),
+                min_size=shape[0], max_size=shape[0],
+            )
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost=short_side_matrices())
+@example(cost=[[0, 0, 0]] * 2)
+@example(cost=[[3, 1, 2, 0], [1, 0, 3, 3], [0, 2, 2, 1]])
+def test_shortest_paths_certificate(cost):
+    # The duals certify the matching; v == 0 on free columns is what lets
+    # solve_assignment pad with zero rows (u = 0) and keep them optimal.
+    nc = len(cost[0])
+    col4row, row4col, u, v = _shortest_paths(cost, nc)
+    assert sorted(col4row) == sorted(j for j in range(nc) if row4col[j] >= 0)
+    assert all(row4col[j] == i for i, j in enumerate(col4row))
+    for i, row in enumerate(cost):
+        reduced = [c - u[i] - vj for c, vj in zip(row, v)]
+        assert min(reduced) >= 0
+        assert reduced[col4row[i]] == 0
+    assert all(vj <= 0 for vj in v)  # a zero row with u = 0 is feasible...
+    assert all(vj == 0 for vj, i in zip(v, row4col) if i < 0)  # ...and tight on free columns
+
+
+def test_shortest_paths_takes_a_free_column_on_a_tie():
+    # Row 1 is nearest to column 0, held by row 0, and to the free column 2.
+    # Taking column 2 ends the search; scanning column 0 first would reach
+    # column 1 through row 0 and move row 0 there. Both are optimal, so only
+    # the matching shows which rule ran.
+    assert _shortest_paths([[0, 0, 5], [0, 5, 0]], 3)[0] == [0, 2]
 
 
 def test_potential_invariance_row_and_column_shifts():
