@@ -3,8 +3,7 @@ smart container ports, driven by declarative scenario files."""
 
 # module -> its public names, each imported on first use (PEP 562)
 _EXPORTS = {
-    "dispatch": ("Assignment", "CostMatrix", "assignment_cost", "brute_force_assignment",
-                 "load_cost_matrix", "solve_assignment"),
+    "dispatch": ("Assignment", "CostMatrix", "load_cost_matrix", "solve_assignment"),
     "economics": ("CostReport", "cost_report"),
     "emissions": ("EmissionsResult", "baseline_emissions", "carbon_intensity", "emission_reduction",
                   "evaluate_emissions", "optimized_emissions", "substitution_efficiency"),

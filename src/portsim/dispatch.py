@@ -2,10 +2,11 @@
 
 The solver finds an exact optimum in O(n^3) for n = max(rows, cols):
 
-* Costs are scaled by one common power of two into Python ints (every
-  float is m * 2**e), so dual potentials and every comparison are exact,
-  with no tolerance. ``total_cost`` is the ``math.fsum`` of the selected
-  original entries (``DispatchError`` if it passes the float range).
+* Sums and comparisons are exact, with no tolerance: integral costs whose
+  duals stay below 2**53 are solved on their own floats, any others are
+  scaled by one common power of two into Python ints (each float is
+  m * 2**e). ``total_cost`` is the ``math.fsum`` of the selected original
+  entries (``DispatchError`` if it passes the float range).
 * A shortest-augmenting-path solve in the rectangular form of Crouse
   (2016) matches every row of the shorter side (a tall matrix is solved
   as its transpose) with no padding. It starts from the row minima and
@@ -24,10 +25,6 @@ perfect matchings of the tight subgraph, the pairs with zero reduced cost
 under the optimal duals, so the tie-break re-routes the matching along
 tight alternating paths instead of solving again. The tie-break makes
 reports byte-for-byte reproducible across runs and implementations.
-
-``brute_force_assignment`` is an independent oracle that enumerates all
-permutations; it exists to cross-check the solver and is limited to small
-instances.
 """
 
 from __future__ import annotations
@@ -42,10 +39,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Sequence
     from os import PathLike
-
-#: Largest square matrix the brute-force oracle will enumerate (n! growth).
-ORACLE_MAX_SIZE = 10
-
 
 @record
 class CostMatrix:
@@ -89,7 +82,7 @@ class CostMatrix:
         # fit, and the resized tuples pile up on CPython's tuple free lists
         # (about 0.75 MB after a few hundred fleet-sized matrices).
         try:
-            return cls(entries=tuple([tuple([float(x) for x in row]) for row in rows]))
+            return cls(entries=tuple([tuple([*map(float, row)]) for row in rows]))
         except OverflowError:
             raise DispatchError(
                 "cost matrix entry is not finite (an integer too large for a float)"
@@ -111,8 +104,8 @@ class Assignment:
 def solve_assignment(matrix: CostMatrix) -> Assignment:
     """Return a minimum-total-cost assignment with the deterministic tie-break.
 
-    A rectangular shortest-augmenting-path solve on the exact integer
-    costs gives an optimal matching of the short side and optimal duals.
+    A rectangular shortest-augmenting-path solve on the exact costs gives
+    an optimal matching of the short side and optimal duals.
     Both are padded to square with zero lines, and the canonical
     (lexicographically smallest optimal) mapping is read off the tight
     subgraph of those duals in O(n^3), in the original orientation: for
@@ -121,7 +114,8 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
     """
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     n = max(n_rows, n_cols)
-    cost = _integer_costs(matrix.entries)
+    cost = _exact_costs(matrix.entries)
+    zero = type(cost[0][0])()  # 0.0 or 0: a float 0.0 would round huge ints
     tall = n_cols < n_rows
     # Solve the short side; its free partners get zero lines with zero duals.
     a4b, b4a, ua, vb = _shortest_paths([*zip(*cost)] if tall else cost, n)
@@ -129,64 +123,18 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
     for k, b in enumerate(free, len(a4b)):
         b4a[b] = k
     a4b += free
-    ua += [0] * len(free)
+    pad = [zero] * len(free)
+    ua += pad
     if tall:
         row4col, col4row, v, u = a4b, b4a, ua, vb
-        cost = [row + [0] * len(free) for row in cost]
+        cost = [[*row, *pad] for row in cost]
     else:
         col4row, row4col, u, v = a4b, b4a, ua, vb
-        cost += [[0] * n for _ in free]
+        cost += [[zero] * n for _ in free]
     _tie_break(cost, n, col4row, row4col, u, v)
     mapping = tuple([j if j < n_cols else None for j in col4row[:n_rows]])
     selected = [row[j] for row, j in zip(matrix.entries, mapping) if j is not None]
     return Assignment(mapping=mapping, total_cost=_total(selected))
-
-
-def brute_force_assignment(matrix: CostMatrix) -> Assignment:
-    """Exhaustive oracle: minimum over all n! permutations of a square matrix.
-
-    Totals are compared exactly, on the integer-scaled costs. Permutations
-    are generated in lexicographic order and only strictly better totals
-    replace the incumbent, so the returned mapping follows the same
-    tie-break as ``solve_assignment``.
-    """
-    n = matrix.n_rows
-    if n != matrix.n_cols:
-        raise DispatchError("oracle requires a square matrix")
-    if n > ORACLE_MAX_SIZE:
-        raise DispatchError(f"oracle size limit is {ORACLE_MAX_SIZE}x{ORACLE_MAX_SIZE}")
-    cost = _integer_costs(matrix.entries)
-    best_total: float = math.inf
-    best_perm: tuple[int, ...] = ()
-    for perm in itertools.permutations(range(n)):
-        total = sum(cost[i][perm[i]] for i in range(n))
-        if total < best_total:
-            best_total = total
-            best_perm = perm
-    rows = matrix.entries
-    return Assignment(best_perm, _total(rows[i][j] for i, j in enumerate(best_perm)))
-
-
-def assignment_cost(matrix: CostMatrix, mapping: Sequence[int | None]) -> float:
-    """Total cost of an explicit (possibly partial) row-to-column mapping.
-
-    Rejects duplicate column use and out-of-range indices; ``None`` entries
-    and mappings shorter than the row count are treated as unassigned rows.
-    """
-    if len(mapping) > matrix.n_rows:
-        raise DispatchError(f"mapping has {len(mapping)} rows, matrix has {matrix.n_rows}")
-    seen: set[int] = set()
-    selected: list[float] = []
-    for i, j in enumerate(mapping):
-        if j is None:
-            continue
-        if not 0 <= j < matrix.n_cols:
-            raise DispatchError(f"mapping assigns row {i} to out-of-range column {j}")
-        if j in seen:
-            raise DispatchError(f"mapping assigns column {j} to more than one row")
-        seen.add(j)
-        selected.append(matrix.entries[i][j])
-    return _total(selected)
 
 
 def load_cost_matrix(path: str | PathLike[str]) -> CostMatrix:
@@ -213,18 +161,32 @@ def _total(selected: Iterable[float]) -> float:
         raise DispatchError("total cost overflows") from None
 
 
-def _integer_costs(entries: tuple[tuple[float, ...], ...]) -> list[list[int]]:
-    """The entries times one common power of two, as exact Python ints."""
-    if all(map(float.is_integer, itertools.chain.from_iterable(entries))):
-        return [list(map(int, row)) for row in entries]  # the power is 2**0
+def _exact_costs(entries: tuple[tuple[float, ...], ...]) -> list[Sequence[float]]:
+    """Costs on which the solve adds and compares exactly: the float rows
+    as they are if all are integral and C * (n + 2) < 2**53, for C the
+    largest entry and n = max(rows, cols); else the entries times one
+    common power of two, as Python ints (an integral x gives ``int(x)``).
+
+    Each search of ``_shortest_paths`` raises the matched cost by at least
+    its ``low`` and at most C (the new row can take a column the old
+    optimum left free), so v >= -n*C, u <= (n+1)*C, and every ``dist`` and
+    ``row[j] - u[i]`` stays within (n+2)*C < 2**53: float sums and
+    comparisons of these integers are exact. Rounding is monotonic, so the
+    float product in the guard cannot pass a matrix over the bound.
+    """
+    n = max(len(entries), len(entries[0]))
+    if max(map(max, entries)) * (n + 2) < 2**53 and all(map(float.is_integer, itertools.chain(*entries))):
+        return [*entries]
     ratios = [[x.as_integer_ratio() for x in row] for row in entries]
     scale = max(q for row in ratios for _, q in row)
     return [[p * (scale // q) for p, q in row] for row in ratios]
 
 
-def _shortest_paths(cost: Sequence[Sequence[int]], nc: int) -> tuple[list[int], list[int], list[int], list[int]]:
+def _shortest_paths(
+    cost: Sequence[Sequence[float]], nc: int
+) -> tuple[list[int], list[int], list[float], list[float]]:
     """Shortest-augmenting-path solve (Crouse 2016) of every row of an
-    integer matrix with ``len(cost) <= nc`` columns: ``(col4row, row4col,
+    exact cost matrix with ``len(cost) <= nc`` columns: ``(col4row, row4col,
     u, v)``, an optimal matching seen from both sides (``-1`` on a free
     column) and duals with ``cost[i][j] - u[i] - v[j]`` non-negative, and
     zero on matched pairs. A free column wins a tie in distance. ``v``
@@ -232,7 +194,8 @@ def _shortest_paths(cost: Sequence[Sequence[int]], nc: int) -> tuple[list[int], 
     matched, so it is zero on every free column.
     """
     u = list(map(min, cost))
-    v = [0] * nc
+    zero = type(u[0])()  # duals of the costs' own type: no mixed int/float sums
+    v = [zero] * nc
     col4row = [-1] * len(cost)
     row4col = [-1] * nc
     for i, row in enumerate(cost):  # each row on its cheapest column, if free
@@ -245,7 +208,7 @@ def _shortest_paths(cost: Sequence[Sequence[int]], nc: int) -> tuple[list[int], 
         dist: list[float] = [math.inf] * nc
         remaining = list(range(nc))
         scanned = []  # matched columns the search reached
-        i, low = start, 0
+        i, low = start, zero
         while True:
             row, base = cost[i], low - u[i]
             low, pick = math.inf, -1
@@ -275,7 +238,7 @@ def _shortest_paths(cost: Sequence[Sequence[int]], nc: int) -> tuple[list[int], 
 
 
 def _tie_break(
-    cost: list[list[int]], n: int, col4row: list[int], row4col: list[int], u: list[int], v: list[int]
+    cost: list[Sequence[float]], n: int, col4row: list[int], row4col: list[int], u: list[float], v: list[float]
 ) -> None:
     """Turn the optimal matching ``col4row`` (inverse ``row4col``) into the
     lexicographically smallest optimal one, in place.

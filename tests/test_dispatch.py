@@ -1,38 +1,13 @@
-import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from portsim import (
-    Assignment,
-    CostMatrix,
-    DispatchError,
-    assignment_cost,
-    brute_force_assignment,
-    load_cost_matrix,
-    solve_assignment,
-)
-from portsim.dispatch import _shortest_paths
-from conftest import PAPER_MATRIX
-
-
-def enumerate_optima(entries):
-    """Independent enumeration: all optimal permutations and the exact optimal total."""
-    n = len(entries)
-    best = math.inf
-    optima = []
-    for perm in itertools.permutations(range(n)):
-        total = sum(Fraction(entries[i][perm[i]]) for i in range(n))
-        if total < best:
-            best = total
-            optima = [perm]
-        elif total == best:
-            optima.append(perm)
-    return best, optima
+from portsim import Assignment, CostMatrix, DispatchError, load_cost_matrix, solve_assignment
+from portsim.dispatch import _exact_costs, _shortest_paths
+from conftest import PAPER_MATRIX, bound_tops, enumerate_injections, enumerate_optima, tied_matrix
 
 
 def test_reference_matrix_oracle_first():
@@ -44,10 +19,9 @@ def test_reference_matrix_oracle_first():
 def test_reference_matrix_solver_and_oracle():
     matrix = CostMatrix.from_rows(PAPER_MATRIX)
     solved = solve_assignment(matrix)
-    oracle = brute_force_assignment(matrix)
-    assert solved.mapping == (1, 2, 0)
-    assert solved.total_cost == 1050.0
-    assert oracle == solved
+    best, optima = enumerate_optima(matrix.entries)
+    assert solved.mapping == (1, 2, 0) == min(optima)
+    assert solved.total_cost == 1050.0 == best
 
 
 def test_all_zero_matrix_tie_break_is_identity():
@@ -56,7 +30,7 @@ def test_all_zero_matrix_tie_break_is_identity():
         solved = solve_assignment(matrix)
         assert solved.mapping == tuple(range(n))
         assert solved.total_cost == 0.0
-        assert brute_force_assignment(matrix) == solved
+        assert min(enumerate_optima(matrix.entries)[1]) == solved.mapping
 
 
 def test_symmetric_zero_diagonal_matrix():
@@ -67,15 +41,14 @@ def test_symmetric_zero_diagonal_matrix():
 
 
 def test_single_entry_matrix():
-    matrix = CostMatrix.from_rows([[7.25]])
-    assert solve_assignment(matrix) == brute_force_assignment(matrix)
-    assert solve_assignment(matrix).total_cost == 7.25
+    assert solve_assignment(CostMatrix.from_rows([[7.25]])) == Assignment(mapping=(0,), total_cost=7.25)
 
 
 def test_forced_zero_diagonal_optimum():
     # strictly increasing off-diagonal costs force the zero diagonal
     entries = [[0.0 if i == j else 10.0 + i + j for j in range(4)] for i in range(4)]
-    solved = brute_force_assignment(CostMatrix.from_rows(entries))
+    assert enumerate_optima(entries)[1] == [(0, 1, 2, 3)]
+    solved = solve_assignment(CostMatrix.from_rows(entries))
     assert solved.mapping == (0, 1, 2, 3)
     assert solved.total_cost == 0.0
 
@@ -102,24 +75,6 @@ def test_tall_matrix_reports_unassigned_rows():
     solved = solve_assignment(matrix)
     assert solved.mapping == (1, 0, None)
     assert solved.total_cost == 4.0
-
-
-def test_assignment_cost_examples():
-    matrix = CostMatrix.from_rows(PAPER_MATRIX)
-    assert assignment_cost(matrix, (1, 2, 0)) == 1050.0
-    assert assignment_cost(matrix, (0, 1, 2)) == 1210.0
-    assert assignment_cost(matrix, ()) == 0.0
-    assert assignment_cost(matrix, (None, 2, None)) == 280.0
-
-
-def test_assignment_cost_rejects_duplicates_and_bad_indices():
-    matrix = CostMatrix.from_rows(PAPER_MATRIX)
-    with pytest.raises(DispatchError, match="more than one row"):
-        assignment_cost(matrix, (1, 1, 0))
-    with pytest.raises(DispatchError, match="out-of-range"):
-        assignment_cost(matrix, (0, 1, 3))
-    with pytest.raises(DispatchError, match="mapping has"):
-        assignment_cost(matrix, (0, 1, 2, None))
 
 
 def test_non_finite_entries_rejected():
@@ -165,9 +120,8 @@ def test_row_whose_float_sum_overflows_and_negative_zero_are_accepted():
 def test_total_past_the_float_range_rejected():
     # every entry is finite, but any assignment's exact sum is not
     matrix = CostMatrix.from_rows([[1e308, 1e308], [1e308, 1e308]])
-    for total in (solve_assignment, brute_force_assignment, lambda m: assignment_cost(m, (0, 1))):
-        with pytest.raises(DispatchError, match="^total cost overflows$"):
-            total(matrix)
+    with pytest.raises(DispatchError, match="^total cost overflows$"):
+        solve_assignment(matrix)
 
 
 def test_empty_matrix_rejected():
@@ -175,14 +129,6 @@ def test_empty_matrix_rejected():
         CostMatrix.from_rows([])
     with pytest.raises(DispatchError):
         CostMatrix.from_rows([[]])
-
-
-def test_oracle_guards():
-    with pytest.raises(DispatchError, match="square"):
-        brute_force_assignment(CostMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
-    big = CostMatrix.from_rows([[float(i + j) for j in range(11)] for i in range(11)])
-    with pytest.raises(DispatchError, match="size limit"):
-        brute_force_assignment(big)
 
 
 def test_solver_is_deterministic():
@@ -209,16 +155,12 @@ def test_oracle_equivalence_random(entries):
     n = len(entries)
     matrix = CostMatrix.from_rows(entries)
     solved = solve_assignment(matrix)
-    oracle = brute_force_assignment(matrix)
-    assert solved.total_cost == oracle.total_cost
     # permutation validity on the square core
     assert sorted(solved.mapping) == list(range(n))
     best, optima = enumerate_optima(matrix.entries)
     assert solved.total_cost == float(best)
-    if len(optima) == 1:
-        assert solved.mapping == optima[0]
-    # shared tie-break: both pick the lexicographically smallest optimum
-    assert solved.mapping == oracle.mapping == min(optima)
+    # the tie-break picks the lexicographically smallest optimum
+    assert solved.mapping == min(optima)
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,30 +178,6 @@ def test_tie_heavy_integer_matrices(n, data):
     best, optima = enumerate_optima(matrix.entries)
     assert solved.total_cost == best
     assert solved.mapping == min(optima)
-
-
-def enumerate_injections(entries):
-    """Exact optimum of a rectangular matrix with the documented tie-break.
-
-    Every maximum-cardinality mapping is scored with exact fractions; the
-    lexicographically smallest optimal one wins, an unassigned row (None)
-    ordering after every column.
-    """
-    n_rows, n_cols = len(entries), len(entries[0])
-    wide = n_rows <= n_cols
-    best = None
-    for chosen in itertools.permutations(range(max(n_rows, n_cols)), min(n_rows, n_cols)):
-        if wide:  # chosen[i]: the column given row i
-            mapping = list(chosen)
-        else:  # chosen[j]: the row given column j
-            mapping = [None] * n_rows
-            for j, i in enumerate(chosen):
-                mapping[i] = j
-        total = sum(Fraction(entries[i][j]) for i, j in enumerate(mapping) if j is not None)
-        key = (total, [n_cols if j is None else j for j in mapping])
-        if best is None or key < best[0]:
-            best = (key, tuple(mapping))
-    return best[0][0], best[1]
 
 
 def rectangular_matrices(shapes=st.tuples(st.integers(1, 6), st.integers(1, 6))):
@@ -330,11 +248,33 @@ def test_single_column_and_single_row_matrices(n):
 @example(entries=[[3, 1, 2], [1, 3, 3]], k=1)
 @example(entries=[[2**53, 1], [1, 0], [5, 2**53]], k=900)
 def test_scaling_by_a_power_of_two_keeps_the_mapping(entries, k):
-    # integral entries take the int path, the scaled ones (odd entries / 2**k) the ratio path
+    # integral entries are solved on floats while max * (n + 2) < 2**53 and
+    # as ints past it; the scaled ones (odd entries / 2**k) always as ints
     solved = solve_assignment(CostMatrix.from_rows(entries))
     scaled = solve_assignment(CostMatrix.from_rows([[math.ldexp(x, -k) for x in row] for row in entries]))
     assert scaled.mapping == solved.mapping
     assert scaled.total_cost == math.ldexp(solved.total_cost, -k)
+
+
+#: Shapes up to 8x8, with single rows and columns up to 1x8 and 8x1.
+BOUND_SHAPES = [(r, c) for r in range(1, 6) for c in range(1, 6)] + [
+    (6, 6), (7, 7), (8, 8), (3, 8), (8, 3), (1, 7), (1, 8), (7, 1), (8, 1)
+]
+
+
+@pytest.mark.parametrize("side", [0, 1, 2], ids=["under", "at", "over"])
+def test_integral_costs_at_the_float_bound(side):
+    # side indexes bound_tops: only a largest entry under the bound keeps the float solve
+    rng = random.Random(f"bound-{side}")
+    for rows, cols in BOUND_SHAPES:
+        for k in (0, 26, 52):
+            entries = tied_matrix(rng, rows, cols, bound_tops(max(rows, cols), k)[side])
+            matrix = CostMatrix.from_rows(entries)
+            assert type(_exact_costs(matrix.entries)[0][0]) is (float if side == 0 else int)
+            best, mapping = enumerate_injections(entries)
+            solved = solve_assignment(matrix)
+            assert solved.mapping == mapping
+            assert solved.total_cost == float(best)
 
 
 def test_all_zero_200_is_identity():
@@ -389,14 +329,18 @@ def short_side_matrices():
 
 
 @settings(max_examples=300, deadline=None)
-@given(cost=short_side_matrices())
-@example(cost=[[0, 0, 0]] * 2)
-@example(cost=[[3, 1, 2, 0], [1, 0, 3, 3], [0, 2, 2, 1]])
-def test_shortest_paths_certificate(cost):
+@given(cost=short_side_matrices(), as_floats=st.booleans())
+@example(cost=[[0, 0, 0]] * 2, as_floats=False)
+@example(cost=[[3, 1, 2, 0], [1, 0, 3, 3], [0, 2, 2, 1]], as_floats=False)
+@example(cost=[[3, 1, 2, 0], [1, 0, 3, 3], [0, 2, 2, 1]], as_floats=True)
+def test_shortest_paths_certificate(cost, as_floats):
     # The duals certify the matching; v == 0 on free columns is what lets
     # solve_assignment pad with zero rows (u = 0) and keep them optimal.
     nc = len(cost[0])
+    if as_floats and max(map(max, cost)) * (nc + 2) < 2**53:  # the bound of the float solve
+        cost = [[float(c) for c in row] for row in cost]
     col4row, row4col, u, v = _shortest_paths(cost, nc)
+    assert {type(x) for x in u + v} == {type(cost[0][0])}  # no int/float mix
     assert sorted(col4row) == sorted(j for j in range(nc) if row4col[j] >= 0)
     assert all(row4col[j] == i for i, j in enumerate(col4row))
     for i, row in enumerate(cost):
@@ -451,8 +395,9 @@ def test_optimality_certificate_against_every_mapping():
             [[rng.uniform(0, 1000) for _ in range(n)] for _ in range(n)]
         )
         solved = solve_assignment(matrix)
-        for perm in itertools.permutations(range(n)):
-            assert solved.total_cost <= assignment_cost(matrix, perm)
+        best, optima = enumerate_optima(matrix.entries)
+        assert solved.total_cost == float(best)
+        assert solved.mapping == min(optima)
 
 
 def test_load_cost_matrix(tmp_path):
