@@ -9,13 +9,16 @@ The solver finds an exact optimum in O(n^3) for n = max(rows, cols):
   entries (``DispatchError`` if it passes the float range).
 * A shortest-augmenting-path solve in the rectangular form of Crouse
   (2016) matches every row of the shorter side (a tall matrix is solved
-  as its transpose) with no padding. It starts from the row minima and
-  takes a free column among equally near ones, as Jonker & Volgenant
-  (1987) do, which keeps tie-heavy matrices fast. Its duals are optimal,
-  and zero on every column it leaves free.
-* Only the tie-break sees a square: the shorter side gets all-zero lines
-  with zero duals, each matched to a line left free, so the duals stay optimal.
-  Rows matched to a padded column are reported as unassigned.
+  as its transpose) with no padding. It starts from the row minima, seats
+  each row on its first free cheapest column and, in each search, takes a
+  free column among equally near ones, as Jonker & Volgenant (1987) do,
+  which keeps tie-heavy matrices fast. Its duals are optimal, and zero on
+  every column it leaves free.
+* The tie-break works on the real lines too. Each line the solve leaves
+  free has a zero partner with a zero dual, so the duals stay optimal, but
+  no partner is built: a wide matrix's zero rows share one tight list, and
+  a tall matrix's zero columns join the tight lists of the rows with a zero
+  dual. Rows matched to a zero column are reported as unassigned.
 
 Among all minimum-cost assignments the solver returns the one that is
 lexicographically smallest row by row (row 0 gets the lowest column index
@@ -56,8 +59,9 @@ class CostMatrix:
             raise DispatchError("cost matrix must have at least one row and one column")
         width = len(entries[0])
         # A NaN, an infinity or a sum past the float range fails this test;
-        # the loop below then names the entry, or accepts the row.
-        if all(len(row) == width and 0.0 <= min(row) and sum(row) < math.inf for row in entries):
+        # the loop below then names the entry, or accepts the matrix. Lengths
+        # come first: ``min`` of an empty row raises.
+        if {*map(len, entries)} == {width} and 0.0 <= min(map(min, entries)) and sum(map(sum, entries)) < math.inf:
             return
         for i, row in enumerate(entries):
             if len(row) != width:
@@ -105,32 +109,24 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
     """Return a minimum-total-cost assignment with the deterministic tie-break.
 
     A rectangular shortest-augmenting-path solve on the exact costs gives
-    an optimal matching of the short side and optimal duals.
-    Both are padded to square with zero lines, and the canonical
-    (lexicographically smallest optimal) mapping is read off the tight
-    subgraph of those duals in O(n^3), in the original orientation: for
+    an optimal matching of the short side and optimal duals. Each line it
+    leaves free gets a zero partner past the short side's end, and the
+    canonical (lexicographically smallest optimal) mapping is read off the
+    tight subgraph of those duals in O(n^3), in the original orientation: for
     each row in order, the smallest tight column whose holder, a later
     row, can be re-routed along tight edges to the row's current column.
     """
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     n = max(n_rows, n_cols)
     cost = _exact_costs(matrix.entries)
-    zero = type(cost[0][0])()  # 0.0 or 0: a float 0.0 would round huge ints
     tall = n_cols < n_rows
-    # Solve the short side; its free partners get zero lines with zero duals.
+    # Solve the short side; its free partners are indices, not zero lines.
     a4b, b4a, ua, vb = _shortest_paths([*zip(*cost)] if tall else cost, n)
     free = [b for b in range(n) if b4a[b] < 0]
     for k, b in enumerate(free, len(a4b)):
         b4a[b] = k
     a4b += free
-    pad = [zero] * len(free)
-    ua += pad
-    if tall:
-        row4col, col4row, v, u = a4b, b4a, ua, vb
-        cost = [[*row, *pad] for row in cost]
-    else:
-        col4row, row4col, u, v = a4b, b4a, ua, vb
-        cost += [[zero] * n for _ in free]
+    col4row, row4col, u, v = (b4a, a4b, vb, ua) if tall else (a4b, b4a, ua, vb)
     _tie_break(cost, n, col4row, row4col, u, v)
     mapping = tuple([j if j < n_cols else None for j in col4row[:n_rows]])
     selected = [row[j] for row, j in zip(matrix.entries, mapping) if j is not None]
@@ -167,12 +163,13 @@ def _exact_costs(entries: tuple[tuple[float, ...], ...]) -> list[Sequence[float]
     largest entry and n = max(rows, cols); else the entries times one
     common power of two, as Python ints (an integral x gives ``int(x)``).
 
-    Each search of ``_shortest_paths`` raises the matched cost by at least
-    its ``low`` and at most C (the new row can take a column the old
-    optimum left free), so v >= -n*C, u <= (n+1)*C, and every ``dist`` and
-    ``row[j] - u[i]`` stays within (n+2)*C < 2**53: float sums and
-    comparisons of these integers are exact. Rounding is monotonic, so the
-    float product in the guard cannot pass a matrix over the bound.
+    The greedy start of ``_shortest_paths`` moves no dual, and each of its
+    searches raises the matched cost by at least its ``low`` and at most C
+    (the new row can take a column the old optimum left free), so v >= -n*C,
+    u <= (n+1)*C, and every ``dist`` and ``row[j] - u[i]`` stays within
+    (n+2)*C < 2**53: float sums and comparisons of these integers are exact.
+    Rounding is monotonic, so the float product in the guard cannot pass a
+    matrix over the bound.
     """
     n = max(len(entries), len(entries[0]))
     if max(map(max, entries)) * (n + 2) < 2**53 and all(map(float.is_integer, itertools.chain(*entries))):
@@ -189,20 +186,30 @@ def _shortest_paths(
     exact cost matrix with ``len(cost) <= nc`` columns: ``(col4row, row4col,
     u, v)``, an optimal matching seen from both sides (``-1`` on a free
     column) and duals with ``cost[i][j] - u[i] - v[j]`` non-negative, and
-    zero on matched pairs. A free column wins a tie in distance. ``v``
-    starts at zero and falls only on columns a search reaches, which stay
-    matched, so it is zero on every free column.
+    zero on matched pairs.
+
+    ``u`` starts at the row minima and ``v`` at zero, and each row first
+    takes the first free column among its cheapest ones: every greedy pair
+    is tight, so the certificate holds from the start, and no dual moves, so
+    the bounds in ``_exact_costs`` still hold. The rows left over search one
+    by one, and a free column wins a tie in distance. ``v`` falls only on
+    columns a search reaches, which stay matched, so it is zero on every
+    free column.
     """
     u = list(map(min, cost))
     zero = type(u[0])()  # duals of the costs' own type: no mixed int/float sums
     v = [zero] * nc
     col4row = [-1] * len(cost)
     row4col = [-1] * nc
-    for i, row in enumerate(cost):  # each row on its cheapest column, if free
+    for i, row in enumerate(cost):  # each row on its first free cheapest column, if any
         j = row.index(u[i])
-        if row4col[j] < 0:
-            col4row[i] = j
-            row4col[j] = i
+        try:
+            while row4col[j] >= 0:
+                j = row.index(u[i], j + 1)
+        except ValueError:
+            continue
+        col4row[i] = j
+        row4col[j] = i
     path = [0] * nc
     for start in [i for i, j in enumerate(col4row) if j < 0]:
         dist: list[float] = [math.inf] * nc
@@ -250,9 +257,23 @@ def _tie_break(
     column by a tight alternating path through later rows. A later row
     that cannot reach it is dead for every candidate of row ``i``, so each
     row costs one search of the tight subgraph.
+
+    Only the real rows, ``len(u)`` of them, are re-routed. The lines the
+    solve left free are held by zero lines with zero duals, which exist
+    only as indices past the real ones: a wide matrix's zero rows share one
+    tight list, the columns with ``v == 0``, and a tall matrix's zero
+    columns are tight for exactly the rows with ``u == 0``.
     """
-    tight = [[j for j in range(n) if row[j] - ui == v[j]] for row, ui in zip(cost, u)]
-    for i in range(n):
+    n_rows, n_cols = len(u), len(v)
+    tight = [[j for j in range(n_cols) if row[j] - ui == v[j]] for row, ui in zip(cost, u)]
+    if n_rows < n:  # wide: the zero rows holding the free columns
+        tight += [[j for j in range(n) if v[j] == 0]] * (n - n_rows)
+    elif n_cols < n:  # tall: the zero columns held by the free rows
+        pads = range(n_cols, n)
+        for line, ui in zip(tight, u):
+            if ui == 0:
+                line += pads
+    for i in range(n_rows):
         target = col4row[i]
         if tight[i][0] == target:
             continue

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from portsim import Assignment, CostMatrix, DispatchError, load_cost_matrix, solve_assignment
+from portsim import dispatch
 from portsim.dispatch import _exact_costs, _shortest_paths
 from conftest import PAPER_MATRIX, bound_tops, enumerate_injections, enumerate_optima, tied_matrix
 
@@ -110,6 +111,11 @@ def test_bad_entry_in_the_last_row_is_named(value, problem):
 def test_short_row_after_good_rows_is_named():
     with pytest.raises(DispatchError, match="^cost matrix row 2 has 1 entries, expected 3$"):
         CostMatrix(entries=((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0,)))
+
+
+def test_empty_row_after_a_good_row_is_named():
+    with pytest.raises(DispatchError, match=r"^cost matrix row 1 has 0 entries, expected 2$"):
+        CostMatrix.from_rows([[1.0, 2.0], []])
 
 
 def test_row_whose_float_sum_overflows_and_negative_zero_are_accepted():
@@ -256,6 +262,64 @@ def test_scaling_by_a_power_of_two_keeps_the_mapping(entries, k):
     assert scaled.total_cost == math.ldexp(solved.total_cost, -k)
 
 
+def tie_heavy_rectangles():
+    """Wide and tall matrices up to 7 per side, entries 0-2 or all zero."""
+    shapes = st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(lambda s: s[0] != s[1])
+    entries = st.sampled_from([st.integers(0, 2).map(float), st.just(0.0)])
+    return st.tuples(shapes, entries).flatmap(
+        lambda se: st.lists(
+            st.lists(se[1], min_size=se[0][1], max_size=se[0][1]), min_size=se[0][0], max_size=se[0][0]
+        )
+    )
+
+
+#: The tie-break re-routes each of these through a zero line: a zero row
+#: holding a free column of a wide matrix, or a zero column held by a row
+#: that a tall matrix leaves unassigned.
+ZERO_LINE_PATHS = [
+    [[2, 1, 1, 0], [1, 1, 2, 0]],
+    [[0, 1, 2, 1], [0, 2, 2, 1], [2, 2, 0, 2]],
+    [[0, 2, 0], [0, 1, 1], [2, 0, 0], [1, 0, 2]],
+    [[1, 1, 0], [2, 2, 2], [2, 1, 1], [2, 0, 0]],
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=tie_heavy_rectangles())
+@example(entries=[[0.0] * 7] * 6)
+@example(entries=[[0.0] * 6] * 7)
+@example(entries=[[0.0] * 7])
+@example(entries=[[0.0]] * 7)
+@example(entries=ZERO_LINE_PATHS[0])
+@example(entries=ZERO_LINE_PATHS[2])
+# rows 0 and 1 have u < 0: leaving either unassigned would cost more
+@example(entries=[[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+def test_tie_heavy_wide_and_tall_matrices_against_exact_enumeration(entries):
+    best, mapping = enumerate_injections(entries)
+    solved = solve_assignment(CostMatrix.from_rows(entries))
+    assert solved.mapping == mapping
+    assert solved.total_cost == float(best)
+
+
+@pytest.mark.parametrize("entries", ZERO_LINE_PATHS)
+def test_tie_break_paths_through_zero_lines(entries, monkeypatch):
+    rows, cols = len(entries), len(entries[0])
+    crossed = []
+
+    def spy(start, i, target, tight, row4col, seen):
+        chain = alternating_path(start, i, target, tight, row4col, seen)
+        if chain is not None:  # the columns on the path: held by the chain, and target
+            held = [c for c, row in enumerate(row4col) if row in chain] + [target]
+            crossed.append(max(chain) >= rows or max(held) >= cols)
+        return chain
+
+    alternating_path = dispatch._alternating_path
+    monkeypatch.setattr(dispatch, "_alternating_path", spy)
+    best, mapping = enumerate_injections(entries)
+    assert solve_assignment(CostMatrix.from_rows(entries)) == Assignment(mapping=mapping, total_cost=float(best))
+    assert True in crossed
+
+
 #: Shapes up to 8x8, with single rows and columns up to 1x8 and 8x1.
 BOUND_SHAPES = [(r, c) for r in range(1, 6) for c in range(1, 6)] + [
     (6, 6), (7, 7), (8, 8), (3, 8), (8, 3), (1, 7), (1, 8), (7, 1), (8, 1)
@@ -333,9 +397,15 @@ def short_side_matrices():
 @example(cost=[[0, 0, 0]] * 2, as_floats=False)
 @example(cost=[[3, 1, 2, 0], [1, 0, 3, 3], [0, 2, 2, 1]], as_floats=False)
 @example(cost=[[3, 1, 2, 0], [1, 0, 3, 3], [0, 2, 2, 1]], as_floats=True)
+@example(cost=[[0] * 6] * 6, as_floats=True)  # every greedy row passes the columns before it
+@example(cost=[[0] * 8] * 3, as_floats=False)
+@example(cost=[[0 if j <= i else 1 for j in range(6)] for i in range(6)], as_floats=True)  # a collision chain
+@example(cost=[[0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1], [1, 1, 1, 0]], as_floats=False)  # row 2 passes two
+@example(cost=[[0, 1, 1], [0, 1, 1], [0, 0, 1]], as_floats=True)  # row 1's cheapest runs out: it searches
 def test_shortest_paths_certificate(cost, as_floats):
     # The duals certify the matching; v == 0 on free columns is what lets
-    # solve_assignment pad with zero rows (u = 0) and keep them optimal.
+    # the tie-break give each free column a zero row (u = 0) and keep the
+    # duals optimal.
     nc = len(cost[0])
     if as_floats and max(map(max, cost)) * (nc + 2) < 2**53:  # the bound of the float solve
         cost = [[float(c) for c in row] for row in cost]
@@ -352,11 +422,12 @@ def test_shortest_paths_certificate(cost, as_floats):
 
 
 def test_shortest_paths_takes_a_free_column_on_a_tie():
-    # Row 1 is nearest to column 0, held by row 0, and to the free column 2.
-    # Taking column 2 ends the search; scanning column 0 first would reach
-    # column 1 through row 0 and move row 0 there. Both are optimal, so only
-    # the matching shows which rule ran.
-    assert _shortest_paths([[0, 0, 5], [0, 5, 0]], 3)[0] == [0, 2]
+    # Rows 0 and 1 start on columns 0 and 1; row 2's only cheapest column is
+    # taken, so it searches. After column 0, column 1 (held by row 1) and the
+    # free column 3 tie at distance 1. Taking column 3 ends the search;
+    # scanning column 1 first would reach column 2 through row 1 and move
+    # row 1 there. Both are optimal, so only the matching shows which rule ran.
+    assert _shortest_paths([[0, 9, 9, 9], [9, 0, 0, 9], [0, 1, 9, 1]], 4)[0] == [0, 1, 3]
 
 
 def test_potential_invariance_row_and_column_shifts():
