@@ -81,16 +81,47 @@ class CostMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> CostMatrix:
-        """Build and validate a matrix from any nested iterable of numbers."""
+        """Build and validate a matrix from any nested iterable of numbers. A row
+        that is text or not iterable, or a cell that ``float()`` rejects, raises
+        ``DispatchError`` naming it."""
         # Built from lists: a tuple grown from a generator is resized to
         # fit, and the resized tuples pile up on CPython's tuple free lists
-        # (about 0.75 MB after a few hundred fleet-sized matrices).
+        # (about 0.75 MB after a few hundred fleet-sized matrices). Rows
+        # other than lists and tuples are copied, so a failed conversion
+        # can be traced back to its cell.
+        rows = [row if row.__class__ in _SEQUENCES else _row_cells(i, row) for i, row in enumerate(rows)]
         try:
-            return cls(entries=tuple([tuple([*map(float, row)]) for row in rows]))
+            entries = tuple([tuple([*map(float, row)]) for row in rows])
         except OverflowError:
             raise DispatchError(
                 "cost matrix entry is not finite (an integer too large for a float)"
             ) from None
+        except (TypeError, ValueError):
+            _check_cells(rows)
+            raise
+        return cls(entries=entries)
+
+
+_SEQUENCES = (list, tuple)
+
+
+def _row_cells(i: int, row: Iterable[float]) -> list[float]:
+    if isinstance(row, (str, bytes, bytearray)):
+        raise DispatchError(f"cost matrix row {i} is text, not a sequence of numbers")
+    try:
+        return [*row]
+    except TypeError:
+        raise DispatchError(f"cost matrix row {i} is not a sequence of numbers") from None
+
+
+def _check_cells(rows: list[Sequence[float]]) -> None:
+    """Raise ``DispatchError`` naming the first cell that ``float()`` rejects."""
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            try:
+                float(cell)
+            except (TypeError, ValueError):
+                raise DispatchError(f"cost matrix entry ({i}, {j}) is not a number: {cell!r}") from None
 
 
 @record
@@ -137,7 +168,7 @@ def load_cost_matrix(path: str | PathLike[str]) -> CostMatrix:
     """Read a matrix from a comma-separated numeric grid, one row per line."""
     rows: list[list[float]] = []
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        text = fh.read().removeprefix("\ufeff")  # spreadsheet "CSV UTF-8" exports start with a BOM
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -195,6 +195,34 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, args, unwanted):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [["run", "yangshan-phase4"], ["validate", "scenario.json"], ["dispatch", "grid.csv"]],
+)
+def test_a_cold_command_compiles_no_generated_source(tmp_path, args):
+    # a record builds its first instances without compiling an __init__; source compiled
+    # into a cold bytecode cache is named by its file, generated source by "<string>";
+    # the grid starts with a UTF-8 BOM, read without the utf_8_sig codec
+    write_scenario(tmp_path)
+    (tmp_path / "grid.csv").write_text("\ufeff420,350,450\n450,400,280\n420,360,390\n", "utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
+    unwanted = {"inspect", "dataclasses", "encodings.utf_8_sig"}
+    code = (
+        "import runpy, sys\n"
+        "generated = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and args[1] == '<string>'"
+        " and generated.append(args[0]))\n"
+        f"sys.path.insert(0, {src!r}); sys.argv = ['portsim', *{args!r}]\n"
+        "try:\n    runpy.run_module('portsim.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    code = exc.code\n"
+        f"print(code, len(generated), sorted({unwanted!r} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.stdout.splitlines()[-1] == "0 0 []", proc.stderr
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         ([], "missing subcommand (choose from validate, run, dispatch, presets)"),

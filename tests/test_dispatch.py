@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -116,6 +117,48 @@ def test_short_row_after_good_rows_is_named():
 def test_empty_row_after_a_good_row_is_named():
     with pytest.raises(DispatchError, match=r"^cost matrix row 1 has 0 entries, expected 2$"):
         CostMatrix.from_rows([[1.0, 2.0], []])
+
+
+@pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12"), ""])
+def test_text_row_is_named(text):
+    # each character (or byte) of a text row used to become a cell
+    with pytest.raises(DispatchError, match=r"^cost matrix row 1 is text, not a sequence of numbers$"):
+        CostMatrix.from_rows([[1.0, 2.0], text])
+
+
+def test_matrix_given_as_one_string_is_named():
+    with pytest.raises(DispatchError, match=r"^cost matrix row 0 is text"):
+        CostMatrix.from_rows("12")
+
+
+def test_row_that_is_not_iterable_is_named():
+    with pytest.raises(DispatchError, match=r"^cost matrix row 1 is not a sequence of numbers$"):
+        CostMatrix.from_rows([[1.0, 2.0], 3.0])
+
+
+@pytest.mark.parametrize(
+    ("cell", "shown"), [("x", "'x'"), (None, "None"), ([1.0], "[1.0]"), ("", "''")]
+)
+def test_cell_that_float_rejects_is_named(cell, shown):
+    message = rf"^cost matrix entry \(1, 2\) is not a number: {re.escape(shown)}$"
+    with pytest.raises(DispatchError, match=message):
+        CostMatrix.from_rows([[1, 2, 3], [4, 5, cell]])
+    # rows and matrices given as iterators are named the same way
+    with pytest.raises(DispatchError, match=message):
+        CostMatrix.from_rows(iter([iter([1, 2, 3]), iter([4, 5, cell])]))
+
+
+def test_first_failing_cell_decides_the_error():
+    with pytest.raises(DispatchError, match=r"^cost matrix entry \(0, 1\) is not a number: 'x'$"):
+        CostMatrix.from_rows([[1, "x", 10**400]])
+    with pytest.raises(DispatchError, match=r"^cost matrix entry is not finite"):
+        CostMatrix.from_rows([[1, 10**400, "x"]])
+
+
+def test_rows_of_any_iterable_are_accepted():
+    expected = ((0.0, 1.0), (0.0, 1.0))
+    assert CostMatrix.from_rows(map(range, [2, 2])).entries == expected
+    assert CostMatrix.from_rows([[0, True], (x for x in (0.0, 1))]).entries == expected
 
 
 def test_row_whose_float_sum_overflows_and_negative_zero_are_accepted():
@@ -494,3 +537,14 @@ def test_load_cost_matrix_errors(tmp_path):
     empty.write_text("\n")
     with pytest.raises(DispatchError, match="no rows"):
         load_cost_matrix(empty)
+
+
+def test_load_cost_matrix_skips_a_utf8_bom(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF
+    path = tmp_path / "grid.csv"
+    path.write_bytes("\ufeff420,350,450\n450,400,280\n420,360,390\n".encode("utf-8"))
+    assert load_cost_matrix(path).entries == CostMatrix.from_rows(PAPER_MATRIX).entries
+    twice = tmp_path / "twice.csv"
+    twice.write_bytes("\ufeff\ufeff1,2\n".encode("utf-8"))
+    with pytest.raises(DispatchError, match="^line 1: "):
+        load_cost_matrix(twice)

@@ -11,6 +11,9 @@ import copy
 import dataclasses
 import inspect
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -21,6 +24,7 @@ from portsim import (
     CostMatrix,
     CostParameters,
     CostReport,
+    DispatchError,
     EmissionFactorSet,
     EmissionsResult,
     EnergyResult,
@@ -38,6 +42,7 @@ from portsim import (
     ValidationError,
     WindTurbineSpec,
 )
+from portsim._record import _COMPILE_AFTER, record
 
 THROUGHPUT = dict(teu_per_year=1e6, unit_energy=100.0)
 SECTORS = dict(equipment=50000.0, transport=30000.0, buildings=20000.0)
@@ -304,3 +309,143 @@ def test_match_on_records():
             assert cost == 1.0
         case _:
             pytest.fail("no match")
+
+
+# A record's first constructions bind their arguments in a closure; after
+# _COMPILE_AFTER of them, or on a call the closure cannot bind, the class runs a
+# compiled __init__. Each test below builds a fresh copy of a class, so that its
+# first construction takes the closure whatever the rest of the suite has built.
+
+
+def fresh(cls):
+    """A new record class with the fields and methods of ``cls``, never built."""
+    ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    return record(type(cls.__name__, cls.__bases__, ns))
+
+
+def is_compiled(cls):
+    return cls.__init__.__code__.co_filename == "<string>"
+
+
+def compile_by_use(cls, values):
+    for _ in range(_COMPILE_AFTER + 1):
+        cls(**values)
+    assert is_compiled(cls)
+    return cls
+
+
+def calls(values, defaults):
+    """Ways to call a record's constructor: all positional, all keyword, positional
+    then keyword, and with the defaulted fields left out."""
+    required = {n: v for n, v in values.items() if n not in defaults}
+    head = dict(list(values.items())[: len(values) // 2])
+    tail = {n: v for n, v in values.items() if n not in head}
+    return [
+        lambda c: c(*values.values()),
+        lambda c: c(**values),
+        lambda c: c(*head.values(), **tail),
+        lambda c: c(**required),
+        lambda c: c(*required.values()),
+    ]
+
+
+@pytest.mark.parametrize("cls, values, defaults", RECORDS, ids=IDS)
+def test_the_closure_and_the_compiled_init_build_the_same_record(cls, values, defaults):
+    copy_ = fresh(cls)
+    first = [call(copy_) for call in calls(values, defaults)]
+    assert not is_compiled(copy_)
+    compile_by_use(copy_, values)
+    later = [call(copy_) for call in calls(values, defaults)]
+    assert first == later
+    assert first[:3] == [copy_(**values)] * 3
+    assert first[3] == first[4] == copy_(**{**values, **defaults})
+    for built in first + later:
+        assert list(vars(built)) == list(values)
+        assert type(built) is copy_
+
+
+def bad_calls(values, defaults):
+    """Calls that bind no record: too many positionals, an unknown keyword, a
+    keyword repeating a positional, ``self`` by keyword and missing fields."""
+    names, args = list(values), list(values.values())
+    required = [n for n in names if n not in defaults]
+    missing = [
+        lambda c: c(**{n: v for n, v in values.items() if n != required[-1]}),
+        lambda c: c(*args[: len(required) - 1]),
+        lambda c: c(),
+    ]
+    return [
+        lambda c: c(*args, None),
+        lambda c: c(**values, no_such_field=1),
+        lambda c: c(*args[:1], **{names[0]: args[0]}),
+        lambda c: c(self=None, **values),
+        *(missing if required else []),
+    ]
+
+
+@pytest.mark.parametrize("cls, values, defaults", RECORDS, ids=IDS)
+def test_bad_calls_raise_the_same_type_error_on_both_paths(cls, values, defaults):
+    compiled = compile_by_use(fresh(cls), values)
+    for call in bad_calls(values, defaults):
+        with pytest.raises(TypeError) as expected:
+            call(compiled)
+        first = fresh(cls)
+        with pytest.raises(TypeError) as raised:
+            call(first)
+        assert str(raised.value) == str(expected.value)
+        assert is_compiled(first)  # the closure handed the call to the compiled __init__
+
+
+@pytest.mark.parametrize("cls, values, defaults", RECORDS, ids=IDS)
+def test_signature_before_any_instance_is_built(cls, values, defaults):
+    copy_ = fresh(cls)
+    signature = inspect.signature(copy_)
+    assert not is_compiled(copy_)
+    params = signature.parameters
+    assert list(params) == list(values)
+    assert {n: p.default for n, p in params.items() if p.default is not p.empty} == defaults
+    compile_by_use(copy_, values)
+    assert inspect.signature(copy_) == signature
+    # the compiled __init__ has the same parameters after ``self``, and no annotations
+    compiled = inspect.signature(copy_.__init__)
+    assert signature == compiled.replace(parameters=list(compiled.parameters.values())[1:])
+
+
+def test_the_init_is_compiled_after_the_set_number_of_constructions():
+    copy_ = fresh(ThroughputSpec)
+    for _ in range(_COMPILE_AFTER):
+        copy_(**THROUGHPUT)
+    assert not is_compiled(copy_)
+    built = copy_(**THROUGHPUT)
+    assert is_compiled(copy_) and built == copy_(**THROUGHPUT)
+
+
+def test_post_init_checks_run_on_the_first_construction():
+    scenario, matrix = fresh(Scenario), fresh(CostMatrix)
+    with pytest.raises(ValidationError, match="name must be a non-empty string"):
+        scenario(**{**SCENARIO, "name": ""})
+    with pytest.raises(DispatchError, match=r"entry \(0, 1\) is negative"):
+        matrix(((1.0, -1.0),))
+    assert not is_compiled(scenario) and not is_compiled(matrix)
+
+
+def test_threads_building_across_the_switch_agree():
+    # the construction count is not locked: a lost count only delays the switch, and
+    # threads that cross it together may each compile and install an equal __init__
+    copy_ = fresh(SectorShares)
+    start = threading.Barrier(4, timeout=10)
+
+    def build(_):
+        start.wait()
+        return [copy_(**SHARES) for _ in range(_COMPILE_AFTER)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(build, k) for k in range(4)]
+            built = [r for future in futures for r in future.result(timeout=10)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 4 * _COMPILE_AFTER and is_compiled(copy_)
+    assert all(r == copy_(**SHARES) and list(vars(r)) == list(SHARES) for r in built)
