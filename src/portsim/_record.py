@@ -81,4 +81,14 @@ def record(cls):
 
 
 def replace(obj, **changes):
-    return type(obj)(**{**obj.__dict__, **changes})
+    values = obj.__dict__  # the fields, and whatever else a check keeps on the instance
+    return type(obj)(**{**{name: values[name] for name in obj.__match_args__}, **changes})
+
+
+def asdict(obj):
+    """A record as a dict of its fields, and each record in them too; tuples become lists."""
+    if isinstance(obj, (tuple, list)):
+        return [asdict(item) for item in obj]
+    if not hasattr(type(obj), "__match_args__"):
+        return obj
+    return {name: asdict(value) for name, value in zip(obj.__match_args__, _values(obj))}

@@ -1,15 +1,17 @@
 """Scenario pipeline and report serialization.
 
 ``run_scenario`` wires the engines together: energy, emissions, modeled
-generation (when the scenario derives its supply from assets), AGV
-dispatch (when a matrix is present), costs and the objective score. The
-result is a plain immutable record that serializes to JSON (machine
-readable, full precision, round-trippable) or CSV (one metric per row:
-``metric,value,unit``, plot-ready). Every metric is declared once, in the
-``_REPORT`` table, which the dict form, both formats and the finiteness
-check walk. The JSON bytes are those of ``json.dumps(report_to_dict(r),
-indent=2)`` plus a newline, written without it: non-ASCII characters as
-``\\uXXXX`` escapes, floats as Python's shortest ``repr``.
+generation (as the scenario's check modeled it, when the supply comes from
+the assets), AGV dispatch (when a matrix is present), costs and the
+objective score. The result is a plain immutable record that serializes to
+JSON (machine readable, full precision, round-trippable) or CSV (one
+metric per row: ``metric,value,unit``, plot-ready). Every metric is
+declared once, in the ``_REPORT`` table, which both formats and the
+finiteness check walk; its rows follow each record's fields, so the dict
+form walks the records themselves. The JSON bytes are those of
+``json.dumps(report_to_dict(r), indent=2)`` plus a newline, written
+without it: non-ASCII characters as ``\\uXXXX`` escapes, floats as
+Python's shortest ``repr``.
 
 Reports are deterministic: the same scenario always produces the same
 bytes, and every number in them is finite. Presentation rounding happens
@@ -20,21 +22,22 @@ from __future__ import annotations
 
 import sys
 
-from ._record import record
+from ._record import asdict, record
 from .dispatch import Assignment, solve_assignment
 from .economics import CostReport, cost_report
 from .emissions import EmissionsResult, evaluate_emissions
 from .energy import EnergyResult, evaluate_energy
 from .errors import DispatchError, ValidationError
 from .objective import ObjectiveScore, score_scenario
-from .renewables import GenerationResult, annual_generation
-from .scenario import RenewableSource, Scenario, SectorEnergyBreakdown
+from .renewables import GenerationResult
+from .scenario import Scenario, SectorEnergyBreakdown
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Any
 
 _MAX = sys.float_info.max
+_MIN = -_MAX  # a constant, so a finiteness test negates nothing
 
 
 @record
@@ -66,10 +69,6 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         baseline_energy_mwh=energy.baseline_total, optimized_energy_mwh=energy.optimized_total,
     )
 
-    generation = None
-    if scenario.renewables.source is RenewableSource.FROM_PV_WIND_MODELS:
-        generation = annual_generation(scenario.pv_arrays, scenario.wind_turbines)
-
     assignment = None
     if scenario.dispatch_matrix is not None:
         try:
@@ -91,6 +90,7 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         flags.append("renewable credit exceeds emissions: optimized emissions clamped to zero")
     flags.extend(scenario.notes)
 
+    generation = scenario._generation  # what the check modeled, if the assets give the supply
     report = SimulationReport(
         scenario.name, energy, emissions, generation, assignment, costs, objective, tuple(flags)
     )
@@ -155,7 +155,7 @@ def _check_numbers(record: Any, why: str, rows=_REPORT, prefix="", csv=None) -> 
     for name, kind, info in rows:
         value = values[name]
         if type(kind) is str:
-            if type(value) is float and not -_MAX <= value <= _MAX:
+            if type(value) is float and not _MIN <= value <= _MAX:
                 raise ValidationError(prefix + name, f"{prefix}{name} is {value}: {why}")
             if csv is not None:
                 csv.append(f"{kind},{_format_value(value)},{info}")
@@ -163,18 +163,8 @@ def _check_numbers(record: Any, why: str, rows=_REPORT, prefix="", csv=None) -> 
             _check_numbers(value, why, info, f"{prefix}{name}.", csv)
 
 
-def _to_dict(record: Any, rows: tuple) -> dict[str, Any]:
-    raw = {}
-    for name, kind, info in rows:
-        value = getattr(record, name)
-        if isinstance(kind, type) and value is not None:
-            value = _to_dict(value, info)
-        raw[name] = list(value) if isinstance(value, (tuple, list)) else value
-    return raw
-
-
 def report_to_dict(report: SimulationReport) -> dict[str, Any]:
-    return _to_dict(report, _REPORT)
+    return asdict(report)
 
 
 def _from_dict(raw: Any, cls: type, rows: tuple, prefix: str = "") -> Any:
@@ -269,7 +259,7 @@ def _json_scalar(value: Any) -> str:
         from json.encoder import encode_basestring_ascii
         return encode_basestring_ascii(value)
     if isinstance(value, float):
-        if -_MAX <= value <= _MAX:
+        if _MIN <= value <= _MAX:
             return float.__repr__(value)
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     if value is None or value is True or value is False:
@@ -282,7 +272,7 @@ def _write_json(record: Any, section: tuple, out: list[str]) -> None:
     for head, name, nested, pad in steps:
         value = getattr(record, name)
         out.append(head)
-        if type(value) is float and -_MAX <= value <= _MAX:  # nearly every value
+        if type(value) is float and _MIN <= value <= _MAX:  # nearly every value
             out.append(repr(value))
         elif nested is not None and value is not None:
             _write_json(value, nested, out)

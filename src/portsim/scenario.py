@@ -10,14 +10,16 @@ whether it comes from a file, from ``Scenario(...)`` or from a
 by its dotted path (``pv_arrays[2].module_efficiency``), in field
 declaration order.
 
-Each record's numeric fields are declared once, in ``*_RULES`` tables of
-``name -> (name, low, high, wording)`` steps. A value passes on one
+Each record's numeric fields are declared once, in a ``_Table`` of their
+ranges ``(low, high, wording)`` and defaults: required, a constant, or
+derived by ``create`` from the other fields. A value passes on one
 comparison, ``type(v) is float and low <= v <= high``, which also fails
 for NaN and the infinities; only a failing value takes the slow path,
 which accepts an int in range or raises with the field path, formatted
 only then. A file's record of finite floats under known keys is read in
-one walk, and any miss takes the exact path. Parsing, checking and
-``scenario_to_dict`` all read the same tables.
+one walk, and any miss takes the exact path. Parsing, the range check,
+the allowed and required keys and ``create``'s defaults all read the
+same tables.
 
 Scenario files are JSON with keys named exactly like the record fields
 below. Unknown keys are rejected rather than ignored, so a typo in a file
@@ -33,18 +35,18 @@ import math
 import sys
 
 from . import renewables as renewables_model
-from ._record import record, replace
+from ._record import asdict, record, replace
 from .dispatch import CostMatrix
 from .errors import DispatchError, ValidationError
 from .objective import ObjectiveWeights
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Collection, Iterable, Iterator, KeysView, Mapping
+    from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
     from os import PathLike
     from typing import Any
 
-    _Rules = dict[str, tuple[str, float, float, str]]
+    from .renewables import GenerationResult
 
 #: Sector shares must sum to 1 within this tolerance; inputs are
 #: human-authored decimals, so anything larger is a typo.
@@ -55,6 +57,7 @@ SHARE_SUM_TOLERANCE = 1e-9
 MODELED_SUPPLY_TOLERANCE = 1e-6
 
 _MAX = sys.float_info.max
+_MIN = -_MAX  # a constant, so a finiteness test negates nothing
 _TINY = 5e-324  # the smallest positive float
 
 
@@ -167,21 +170,20 @@ class PvArraySpec:
     sun_hours: float  # h/yr
     performance_ratio: float  # 0..1
 
-    @classmethod
+    @staticmethod
     def create(
-        cls,
         panel_area: float,
         module_efficiency: float,
-        irradiance: float = 1.0,
-        peak_power: float | None = None,
-        sun_hours: float = renewables_model.DEFAULT_SUN_HOURS,
-        performance_ratio: float = renewables_model.DEFAULT_PERFORMANCE_RATIO,
-    ) -> "PvArraySpec":
-        peak_power = None if peak_power is None else float(peak_power)
-        return _pv_array(
-            float(panel_area), float(module_efficiency), float(irradiance), peak_power,
-            float(sun_hours), float(performance_ratio),
-        )
+        irradiance: float,
+        peak_power: float | None,
+        sun_hours: float,
+        performance_ratio: float,
+    ) -> "PvArraySpec":  # the defaults are those of the ``_PV`` table
+        area, irradiance = float(panel_area), float(irradiance)
+        efficiency, ratio = float(module_efficiency), float(performance_ratio)
+        if peak_power is None:
+            peak_power = renewables_model.pv_instant_power(area, irradiance, efficiency)
+        return PvArraySpec(area, irradiance, efficiency, float(peak_power), float(sun_hours), ratio)
 
 
 @record
@@ -199,46 +201,20 @@ class WindTurbineSpec:
     average_power: float  # kW
     operating_hours: float  # h/yr
 
-    @classmethod
+    @staticmethod
     def create(
-        cls,
         swept_area: float,
         wind_speed: float,
         operating_hours: float,
-        air_density: float = renewables_model.STANDARD_AIR_DENSITY,
-        power_coefficient: float = renewables_model.DEFAULT_POWER_COEFFICIENT,
-        average_power: float | None = None,
-    ) -> "WindTurbineSpec":
-        average_power = None if average_power is None else float(average_power)
-        return _wind_turbine(
-            float(swept_area), float(wind_speed), float(operating_hours), float(air_density),
-            float(power_coefficient), average_power,
-        )
-
-
-# ``create`` minus its float() calls, for parsed floats; ``create``'s defaults are set below.
-def _pv_array(panel_area, module_efficiency, irradiance, peak_power, sun_hours, performance_ratio):
-    if peak_power is None:
-        peak_power = renewables_model.pv_instant_power(panel_area, irradiance, module_efficiency)
-    return PvArraySpec(
-        panel_area, irradiance, module_efficiency, peak_power, sun_hours, performance_ratio
-    )
-
-
-def _wind_turbine(
-    swept_area, wind_speed, operating_hours, air_density, power_coefficient, average_power
-):
-    if average_power is None:
-        average_power = renewables_model.wind_instant_power(
-            air_density, swept_area, wind_speed, power_coefficient
-        )
-    return WindTurbineSpec(
-        air_density, swept_area, wind_speed, power_coefficient, average_power, operating_hours
-    )
-
-
-_pv_array.__defaults__ = PvArraySpec.create.__defaults__
-_wind_turbine.__defaults__ = WindTurbineSpec.create.__defaults__
+        air_density: float,
+        power_coefficient: float,
+        average_power: float | None,
+    ) -> "WindTurbineSpec":  # the defaults are those of the ``_WIND`` table
+        area, speed, hours = float(swept_area), float(wind_speed), float(operating_hours)
+        density, cp = float(air_density), float(power_coefficient)
+        if average_power is None:
+            average_power = renewables_model.wind_instant_power(density, area, speed, cp)
+        return WindTurbineSpec(density, area, speed, cp, float(average_power), hours)
 
 
 @record
@@ -261,6 +237,8 @@ class Scenario:
     objective_weights: ObjectiveWeights = ObjectiveWeights()  # frozen, so one can be shared
     notes: tuple[str, ...] = ()
 
+    _generation = None  # what the check modeled, if the assets give the supply; not a field
+
     def __post_init__(self) -> None:
         _check_scenario(self)
 
@@ -271,7 +249,7 @@ class Scenario:
 
 
 def _number(value: Any, field_name: str) -> float:
-    if type(value) is float and -_MAX <= value <= _MAX:
+    if type(value) is float and _MIN <= value <= _MAX:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(field_name, f"{field_name} must be a number")
@@ -300,40 +278,66 @@ _POSITIVE = (_TINY, _MAX, "positive")
 _BETZ = (_TINY, renewables_model.BETZ_LIMIT, f"within (0, {renewables_model.BETZ_LIMIT}]")
 
 
-def _rules(**ranges: tuple[float, float, str]) -> _Rules:
-    return {name: (name, *bounds) for name, bounds in ranges.items()}
+_REQUIRED = "required"  # the default of a number that a file must give
 
 
-# Each record's numeric fields and their check steps, in declaration order.
-_THROUGHPUT_RULES = _rules(teu_per_year=_NON_NEGATIVE, unit_energy=_NON_NEGATIVE)
-_SHARE_RULES = _rules(
-    equipment_share=_FRACTION, transport_share=_FRACTION, buildings_share=_FRACTION
+class _Table:
+    """One record's numeric fields, in declaration order. Each is given as its range, if a
+    file must give it (or the record declares its default), or as ``(range, default)``, the
+    default being a constant, or None for a value ``create`` derives from the other fields.
+    ``rows`` maps each to ``(name, low, high, wording, default)``; ``fields`` holds every key a
+    file may give, ``required`` (set-like, in order) the numbers it must give, and ``defaults``
+    the others' defaults in order, as ``create`` takes them."""
+
+    def __init__(self, cls: type, **rows: Any) -> None:
+        declared, self.rows = vars(cls), {}
+        for name, row in rows.items():
+            limits, default = row if type(row[0]) is tuple else (row, declared.get(name, _REQUIRED))
+            self.rows[name] = (name, *limits, default)
+        self.fields = frozenset(cls.__match_args__)
+        self.required = {n: None for n, *_, d in self.rows.values() if d is _REQUIRED}.keys()
+        self.defaults = tuple(d for *_, d in self.rows.values() if d is not _REQUIRED)
+
+
+_THROUGHPUT = _Table(ThroughputSpec, teu_per_year=_NON_NEGATIVE, unit_energy=_NON_NEGATIVE)
+_SHARES = _Table(
+    SectorShares, equipment_share=_FRACTION, transport_share=_FRACTION, buildings_share=_FRACTION
 )
-_FACTOR_RULES = _rules(
+_FACTORS = _Table(
+    EmissionFactorSet,
     equipment_factor=_NON_NEGATIVE,
     transport_factor=_NON_NEGATIVE,
     buildings_factor=_NON_NEGATIVE,
     grid_factor=_NON_NEGATIVE,
 )
-_SUPPLY_RULES = _rules(renewable_energy=_NON_NEGATIVE, new_green_energy=_NON_NEGATIVE)
-_PV_RULES = _rules(
-    panel_area=_NON_NEGATIVE,
-    irradiance=_NON_NEGATIVE,
-    module_efficiency=_FRACTION,
-    peak_power=_NON_NEGATIVE,
-    sun_hours=_NON_NEGATIVE,
-    performance_ratio=_FRACTION,
+_SUPPLY = _Table(
+    RenewableSupplySpec,
+    renewable_energy=(_NON_NEGATIVE, None),  # modeled from the assets, if the source says so
+    new_green_energy=(_NON_NEGATIVE, None),  # renewable_energy's value
 )
-_WIND_RULES = _rules(
-    air_density=_POSITIVE,
+_PV = _Table(
+    PvArraySpec,
+    panel_area=_NON_NEGATIVE,
+    irradiance=(_NON_NEGATIVE, 1.0),
+    module_efficiency=_FRACTION,
+    peak_power=(_NON_NEGATIVE, None),  # the output at the stated irradiance
+    sun_hours=(_NON_NEGATIVE, renewables_model.DEFAULT_SUN_HOURS),
+    performance_ratio=(_FRACTION, renewables_model.DEFAULT_PERFORMANCE_RATIO),
+)
+_WIND = _Table(
+    WindTurbineSpec,
+    air_density=(_POSITIVE, renewables_model.STANDARD_AIR_DENSITY),
     swept_area=_NON_NEGATIVE,
     wind_speed=_NON_NEGATIVE,
-    power_coefficient=_BETZ,
-    average_power=_NON_NEGATIVE,
+    power_coefficient=(_BETZ, renewables_model.DEFAULT_POWER_COEFFICIENT),
+    average_power=(_NON_NEGATIVE, None),  # the output at the stated wind speed
     operating_hours=_NON_NEGATIVE,
 )
-_COST_RULES = _rules(baseline_cost_per_teu=_NON_NEGATIVE, optimized_cost_per_teu=_NON_NEGATIVE)
-_WEIGHT_RULES = _rules(
+_COSTS = _Table(
+    CostParameters, baseline_cost_per_teu=_NON_NEGATIVE, optimized_cost_per_teu=_NON_NEGATIVE
+)
+_WEIGHTS = _Table(
+    ObjectiveWeights,  # which declares each default
     w_emissions=_NON_NEGATIVE,
     w_energy=_NON_NEGATIVE,
     w_dispatch=_NON_NEGATIVE,
@@ -343,22 +347,24 @@ _WEIGHT_RULES = _rules(
     norm_dispatch=_POSITIVE,
     norm_renewables=_POSITIVE,
 )
+PvArraySpec.create.__defaults__ = _PV.defaults
+WindTurbineSpec.create.__defaults__ = _WIND.defaults
 
 
-def _check_record(record: Any, rules: _Rules, where: str, index: int | None = None) -> None:
+def _check_record(record: Any, table: _Table, where: str, index: int | None = None) -> None:
     values = record.__dict__
-    for name, low, high, bounds in rules.values():
+    for name, low, high, bounds, _ in table.rows.values():
         value = values[name]
         if type(value) is not float or not low <= value <= high:
             path = where if index is None else f"{where}[{index}]"
             _out_of_range(value, f"{path}.{name}", low, high, bounds)
 
 
-def _modeled_supply(
+def _modeled(
     pv_arrays: Iterable[PvArraySpec], wind_turbines: Iterable[WindTurbineSpec]
-) -> float:
+) -> GenerationResult:
     try:
-        return renewables_model.annual_generation(pv_arrays, wind_turbines).total_annual_mwh
+        return renewables_model.annual_generation(pv_arrays, wind_turbines)
     except (OverflowError, ValueError):  # math.fsum past the float range, or inf - inf
         raise ValidationError(
             "renewables.renewable_energy",
@@ -373,22 +379,22 @@ def _check_scenario(scenario: Scenario) -> None:
         raise ValidationError("name", "name must be a non-empty string")
 
     t = scenario.throughput
-    _check_record(t, _THROUGHPUT_RULES, "throughput")
+    _check_record(t, _THROUGHPUT, "throughput")
     if not math.isfinite(t.teu_per_year * t.unit_energy):
         raise ValidationError(
             "throughput", "implied total energy teu_per_year * unit_energy overflows"
         )
 
     s = scenario.shares
-    _check_record(s, _SHARE_RULES, "shares")
+    _check_record(s, _SHARES, "shares")
     share_sum = s.equipment_share + s.transport_share + s.buildings_share
     if abs(share_sum - 1.0) > SHARE_SUM_TOLERANCE:
         raise ValidationError("shares", f"shares sum to {share_sum:.12g}")
 
-    _check_record(scenario.factors, _FACTOR_RULES, "factors")
+    _check_record(scenario.factors, _FACTORS, "factors")
 
     r = scenario.renewables
-    _check_record(r, _SUPPLY_RULES, "renewables")
+    _check_record(r, _SUPPLY, "renewables")
     if not isinstance(r.source, RenewableSource):
         raise ValidationError(
             "renewables.source",
@@ -396,12 +402,13 @@ def _check_scenario(scenario: Scenario) -> None:
         )
 
     for i, pv in enumerate(scenario.pv_arrays):
-        _check_record(pv, _PV_RULES, "pv_arrays", i)
+        _check_record(pv, _PV, "pv_arrays", i)
     for i, wt in enumerate(scenario.wind_turbines):
-        _check_record(wt, _WIND_RULES, "wind_turbines", i)
+        _check_record(wt, _WIND, "wind_turbines", i)
 
     if r.source is RenewableSource.FROM_PV_WIND_MODELS:
-        modeled = _modeled_supply(scenario.pv_arrays, scenario.wind_turbines)
+        generation = _modeled(scenario.pv_arrays, scenario.wind_turbines)
+        modeled = generation.total_annual_mwh
         if not math.isclose(
             r.renewable_energy, modeled, rel_tol=MODELED_SUPPLY_TOLERANCE, abs_tol=0.0
         ):
@@ -410,11 +417,12 @@ def _check_scenario(scenario: Scenario) -> None:
                 f"renewables.renewable_energy is {r.renewable_energy:.12g} but the "
                 f"PV/wind assets model {modeled:.12g} MWh/yr",
             )
+        scenario.__dict__["_generation"] = generation
 
-    _check_record(scenario.costs, _COST_RULES, "costs")
+    _check_record(scenario.costs, _COSTS, "costs")
 
     w = scenario.objective_weights
-    _check_record(w, _WEIGHT_RULES, "objective_weights")
+    _check_record(w, _WEIGHTS, "objective_weights")
     if not isinstance(w.renewables_reduce_score, bool):
         raise ValidationError(
             "objective_weights.renewables_reduce_score",
@@ -441,15 +449,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-_SCENARIO_REQUIRED = ("name", "throughput", "shares", "factors", "renewables", "costs")
-_SCENARIO_KEYS = {
-    *_SCENARIO_REQUIRED,
-    "pv_arrays", "wind_turbines", "dispatch_matrix", "objective_weights", "notes",
-}
-_SUPPLY_KEYS = {*_SUPPLY_RULES, "source"}
-_PV_REQUIRED = dict.fromkeys(("panel_area", "module_efficiency")).keys()
-_WIND_REQUIRED = dict.fromkeys(("swept_area", "wind_speed", "operating_hours")).keys()
-_WEIGHT_KEYS = {*_WEIGHT_RULES, "renewables_reduce_score"}
+_SCENARIO_KEYS = frozenset(Scenario.__match_args__)
+_SCENARIO_REQUIRED = [name for name in Scenario.__match_args__ if name not in vars(Scenario)]
 
 
 def _check_keys(
@@ -468,44 +469,33 @@ def _check_keys(
 
 
 def _parse_numbers(
-    raw: Mapping[str, Any],
-    rules: _Rules,
-    where: str,
-    required: KeysView[str] | frozenset[str] | None = None,
-    allowed: Collection[str] | None = None,
-    index: int | None = None,
+    raw: Mapping[str, Any], table: _Table, where: str, index: int | None = None
 ) -> Mapping[str, Any]:
-    """The keys of ``rules`` present in ``raw``, as finite floats.
+    """The keys of ``table`` present in ``raw``, as finite floats.
 
-    By default every key of ``rules`` is required and no other is allowed.
-    Only types and finiteness are checked here; ranges are checked when
-    the Scenario is built, so errors keep their established order. A dict
-    of finite floats holding every ``required`` key (a keys view: set-like,
-    and ordered for the error) is returned as it is.
+    Only keys, types and finiteness are checked here; ranges are checked
+    when the Scenario is built, so errors keep their established order. A
+    dict of finite floats holding every required key is returned as it is.
     """
-    if required is None:
-        required = rules.keys()
-    if type(raw) is dict and raw.keys() >= required:
+    rows = table.rows
+    if type(raw) is dict and raw.keys() >= table.required:
         for key, value in raw.items():
-            if key not in rules or type(value) is not float or not -_MAX <= value <= _MAX:
+            if key not in rows or type(value) is not float or not _MIN <= value <= _MAX:
                 break
         else:
             return raw
     where = where if index is None else f"{where}[{index}]"
-    _check_keys(raw, rules if allowed is None else allowed, required, where)
-    return {name: _number(raw[name], f"{where}.{name}") for name in rules if name in raw}
+    _check_keys(raw, table.fields, table.required, where)
+    return {name: _number(raw[name], f"{where}.{name}") for name in rows if name in raw}
 
 
 def _parse_assets(
-    raw: Mapping[str, Any], key: str, build: Callable, rules: _Rules, required: KeysView[str]
+    raw: Mapping[str, Any], key: str, build: Callable, table: _Table
 ) -> tuple[Any, ...]:
     items = raw.get(key, [])
     if not isinstance(items, list):
         raise ValidationError(key, f"{key} must be a list")
-    return tuple([
-        build(**_parse_numbers(item, rules, key, required, index=i))
-        for i, item in enumerate(items)
-    ])
+    return tuple([build(**_parse_numbers(item, table, key, i)) for i, item in enumerate(items)])
 
 
 def _parse_renewables(
@@ -513,7 +503,7 @@ def _parse_renewables(
     pv_arrays: tuple[PvArraySpec, ...],
     wind_turbines: tuple[WindTurbineSpec, ...],
 ) -> RenewableSupplySpec:
-    _check_keys(raw, _SUPPLY_KEYS, ("source",), "renewables")
+    _check_keys(raw, _SUPPLY.fields, ("source",), "renewables")
     source_raw = raw["source"]
     try:
         source = RenewableSource(source_raw)
@@ -527,16 +517,16 @@ def _parse_renewables(
         renewable_energy = _number(raw["renewable_energy"], "renewables.renewable_energy")
     elif source is RenewableSource.FROM_PV_WIND_MODELS:
         # Derive the supply from the scenario's own generation assets.
-        renewable_energy = _modeled_supply(pv_arrays, wind_turbines)
+        renewable_energy = _modeled(pv_arrays, wind_turbines).total_annual_mwh
     else:
         raise ValidationError(
             "renewables.renewable_energy",
             "missing required key 'renewable_energy' in renewables "
             "(required unless source is from_pv_wind_models)",
         )
-    new_green = raw.get("new_green_energy")
-    if new_green is not None:
-        new_green = _number(new_green, "renewables.new_green_energy")
+    new_green = None
+    if "new_green_energy" in raw:
+        new_green = _number(raw["new_green_energy"], "renewables.new_green_energy")
     return RenewableSupplySpec.create(renewable_energy, source, new_green)
 
 
@@ -545,7 +535,7 @@ def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
     if type(raw) is dict and "renewables_reduce_score" in raw:
         numbers = raw.copy()  # the flag is no float, so it would miss the one-walk read
         del numbers["renewables_reduce_score"]
-    kwargs = _parse_numbers(numbers, _WEIGHT_RULES, "objective_weights", frozenset(), _WEIGHT_KEYS)
+    kwargs = _parse_numbers(numbers, _WEIGHTS, "objective_weights")
     if "renewables_reduce_score" in raw:
         flag = raw["renewables_reduce_score"]
         if not isinstance(flag, bool):
@@ -557,23 +547,16 @@ def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
     return ObjectiveWeights(**kwargs)
 
 
-def _finite_cells(rows: list[list[Any]]) -> bool:
-    for row in rows:
-        for cell in row:
-            if (type(cell) is not float and type(cell) is not int) or not -_MAX <= cell <= _MAX:
-                return False
-    return True
-
-
 def _parse_matrix(raw: Any) -> CostMatrix | None:
     if raw is None:
         return None
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise ValidationError("dispatch_matrix", "dispatch_matrix must be a list of rows")
-    if not _finite_cells(raw):
-        for i, row in enumerate(raw):
-            for j, cell in enumerate(row):
-                _number(cell, f"dispatch_matrix[{i}][{j}]")
+    for i, row in enumerate(raw):
+        for cell in row:
+            if (type(cell) is not float and type(cell) is not int) or not _MIN <= cell <= _MAX:
+                for j, value in enumerate(row):  # name the first cell that _number rejects
+                    _number(value, f"dispatch_matrix[{i}][{j}]")
     try:
         return CostMatrix.from_rows(raw)
     except DispatchError as exc:
@@ -593,8 +576,8 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     if not isinstance(name, str):
         raise ValidationError("name", "name must be a string")
 
-    pv_arrays = _parse_assets(raw, "pv_arrays", _pv_array, _PV_RULES, _PV_REQUIRED)
-    wind_turbines = _parse_assets(raw, "wind_turbines", _wind_turbine, _WIND_RULES, _WIND_REQUIRED)
+    pv_arrays = _parse_assets(raw, "pv_arrays", PvArraySpec.create, _PV)
+    wind_turbines = _parse_assets(raw, "wind_turbines", WindTurbineSpec.create, _WIND)
 
     notes_raw = raw.get("notes", [])
     if not isinstance(notes_raw, list) or not all(isinstance(n, str) for n in notes_raw):
@@ -602,13 +585,11 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
 
     return Scenario(
         name=name,
-        throughput=ThroughputSpec(
-            **_parse_numbers(raw["throughput"], _THROUGHPUT_RULES, "throughput")
-        ),
-        shares=SectorShares(**_parse_numbers(raw["shares"], _SHARE_RULES, "shares")),
-        factors=EmissionFactorSet(**_parse_numbers(raw["factors"], _FACTOR_RULES, "factors")),
+        throughput=ThroughputSpec(**_parse_numbers(raw["throughput"], _THROUGHPUT, "throughput")),
+        shares=SectorShares(**_parse_numbers(raw["shares"], _SHARES, "shares")),
+        factors=EmissionFactorSet(**_parse_numbers(raw["factors"], _FACTORS, "factors")),
         renewables=_parse_renewables(raw["renewables"], pv_arrays, wind_turbines),
-        costs=CostParameters(**_parse_numbers(raw["costs"], _COST_RULES, "costs")),
+        costs=CostParameters(**_parse_numbers(raw["costs"], _COSTS, "costs")),
         pv_arrays=pv_arrays,
         wind_turbines=wind_turbines,
         dispatch_matrix=_parse_matrix(raw.get("dispatch_matrix")),
@@ -617,38 +598,12 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     )
 
 
-def _numbers(record: Any, rules: _Rules) -> dict[str, Any]:
-    return {name: getattr(record, name) for name in rules}
-
-
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """Inverse of :func:`scenario_from_dict`; round-trips exactly."""
-    r = scenario.renewables
-    w = scenario.objective_weights
-    return {
-        "name": scenario.name,
-        "throughput": _numbers(scenario.throughput, _THROUGHPUT_RULES),
-        "shares": _numbers(scenario.shares, _SHARE_RULES),
-        "factors": _numbers(scenario.factors, _FACTOR_RULES),
-        "renewables": {
-            "renewable_energy": r.renewable_energy,
-            "source": r.source.value,
-            "new_green_energy": r.new_green_energy,
-        },
-        "costs": _numbers(scenario.costs, _COST_RULES),
-        "pv_arrays": [_numbers(pv, _PV_RULES) for pv in scenario.pv_arrays],
-        "wind_turbines": [_numbers(wt, _WIND_RULES) for wt in scenario.wind_turbines],
-        "dispatch_matrix": (
-            None
-            if scenario.dispatch_matrix is None
-            else [list(row) for row in scenario.dispatch_matrix.entries]
-        ),
-        "objective_weights": {
-            **_numbers(w, _WEIGHT_RULES),
-            "renewables_reduce_score": w.renewables_reduce_score,
-        },
-        "notes": list(scenario.notes),
-    }
+    raw = asdict(scenario)
+    if scenario.dispatch_matrix is not None:
+        raw["dispatch_matrix"] = raw["dispatch_matrix"]["entries"]
+    return raw
 
 
 def scenario_to_json(scenario: Scenario) -> str:

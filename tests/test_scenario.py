@@ -1,5 +1,7 @@
 import ast
 import copy
+import fnmatch
+import inspect
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import pickle
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -15,10 +18,12 @@ from hypothesis import strategies as st
 
 import portsim.scenario as scenario_module
 from portsim import (
+    CostParameters,
     EmissionFactorSet,
     ObjectiveWeights,
     PvArraySpec,
     RenewableSource,
+    RenewableSupplySpec,
     Scenario,
     SectorShares,
     ThroughputSpec,
@@ -527,18 +532,119 @@ def test_one_bad_value_is_rejected_at_its_path(spot, value):
 
 
 # ---------------------------------------------------------------------------
+# One field table per record: ranges, required keys and defaults
+# ---------------------------------------------------------------------------
+
+#: Each record a file describes, its table and where its keys sit in a file.
+TABLES = [
+    (ThroughputSpec, scenario_module._THROUGHPUT, "throughput"),
+    (SectorShares, scenario_module._SHARES, "shares"),
+    (EmissionFactorSet, scenario_module._FACTORS, "factors"),
+    (RenewableSupplySpec, scenario_module._SUPPLY, "renewables"),
+    (PvArraySpec, scenario_module._PV, "pv_arrays[]"),
+    (WindTurbineSpec, scenario_module._WIND, "wind_turbines[]"),
+    (CostParameters, scenario_module._COSTS, "costs"),
+    (ObjectiveWeights, scenario_module._WEIGHTS, "objective_weights"),
+]
+NOT_NUMBERS = {"source", "renewables_reduce_score"}
+REQUIRED = scenario_module._REQUIRED
+
+
+@pytest.mark.parametrize("cls, table, where", TABLES, ids=[cls.__name__ for cls, _, _ in TABLES])
+def test_every_field_has_one_row_in_declaration_order(cls, table, where):
+    assert list(table.rows) == [name for name in cls.__match_args__ if name not in NOT_NUMBERS]
+    assert all(row[0] == name for name, row in table.rows.items())
+    assert table.fields == set(cls.__match_args__)
+    assert list(table.required) == [name for name, row in table.rows.items() if row[4] is REQUIRED]
+    for name, row in table.rows.items():  # a default the record declares is the table's
+        assert row[4] == vars(cls).get(name, row[4])
+
+
+@pytest.mark.parametrize("cls, table", [(PvArraySpec, scenario_module._PV),
+                                        (WindTurbineSpec, scenario_module._WIND)])
+def test_create_takes_the_required_fields_then_the_table_defaults(cls, table):
+    params = inspect.signature(cls.create).parameters
+    optional = {name: row[4] for name, row in table.rows.items() if row[4] is not REQUIRED}
+    assert list(params) == [*table.required, *optional]
+    assert {name: p.default for name, p in params.items() if p.default is not p.empty} == optional
+
+
+def readme_fields():
+    """The README's field reference: (key, required, default) per row."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = text.split("| key | required | default | meaning |", 1)[1].split("\n\n", 1)[0]
+    cells = [[cell.strip() for cell in line.strip("|").split("|")] for line in rows.splitlines()]
+    return [(key.strip("`"), required, default) for key, required, default, _ in cells[2:]]
+
+
+def test_the_readme_field_reference_agrees_with_the_tables():
+    rows = readme_fields()
+    for cls, table, where in TABLES:
+        for name, (*_, default) in table.rows.items():
+            found = [(r, d) for key, r, d in rows if fnmatch.fnmatchcase(f"{where}.{name}", key)]
+            assert found, f"{where}.{name} is missing from the README"
+            for required, stated in found:
+                if default is REQUIRED:
+                    assert (required, stated) == ("yes", ""), name
+                elif default is None:  # derived from the other fields
+                    assert required != "yes" and stated.startswith("derived: "), name
+                else:
+                    assert required == "no" and float(stated.split()[0]) == default, name
+    for key, _, _ in rows:  # and no row names a field that does not exist
+        prefix, _, pattern = key.rpartition(".")
+        fields = [cls.__match_args__ for cls, _, where in TABLES if where == prefix]
+        assert not prefix or any(fnmatch.filter(names, pattern) for names in fields), key
+
+
+def test_a_null_new_green_energy_is_rejected():
+    raw = make_scenario_dict(
+        renewables={"renewable_energy": 10.0, "source": "explicit", "new_green_energy": None}
+    )
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(raw)
+    assert (excinfo.value.field, str(excinfo.value)) == (
+        "renewables.new_green_energy", "renewables.new_green_energy must be a number"
+    )
+    supply = RenewableSupplySpec.create(10, RenewableSource.EXPLICIT, new_green_energy=None)
+    assert supply.new_green_energy == 10.0
+
+
+def test_a_modeled_supply_is_modeled_once_per_scenario(monkeypatch):
+    import portsim.renewables as renewables_module
+
+    calls = []
+    model = renewables_module.annual_generation
+    monkeypatch.setattr(
+        renewables_module, "annual_generation", lambda *args: calls.append(1) or model(*args)
+    )
+    pv = [{"panel_area": 5000.0, "module_efficiency": 0.2}]
+    stated = model([PvArraySpec.create(**pv[0])], []).total_annual_mwh
+    raw = make_scenario_dict(
+        renewables={"renewable_energy": stated, "source": "from_pv_wind_models"}, pv_arrays=pv
+    )
+    scenario = scenario_from_dict(raw)
+    report = run_scenario(scenario)
+    assert len(calls) == 1
+    assert report.generation == model(scenario.pv_arrays, ())
+    # the result is kept outside the fields
+    twin = Scenario(*[getattr(scenario, name) for name in Scenario.__match_args__])
+    assert twin == scenario and hash(twin) == hash(scenario) and repr(twin) == repr(scenario)
+    assert run_scenario(pickle.loads(pickle.dumps(scenario))) == report
+    assert run_scenario(with_shares(scenario, SectorShares(0.2, 0.3, 0.5))).generation == (
+        report.generation
+    )
+    no_assets = replace(scenario.renewables, renewable_energy=0.0)
+    changed = replace(scenario, pv_arrays=(), renewables=no_assets)
+    assert run_scenario(changed).generation == model((), ())
+
+
+# ---------------------------------------------------------------------------
 # A record of finite floats is read in one walk; anything else takes the exact path
 # ---------------------------------------------------------------------------
 
 ASSETS = {
-    "pv_arrays": (
-        scenario_module._pv_array, scenario_module._PV_RULES, scenario_module._PV_REQUIRED,
-        PvArraySpec.create,
-    ),
-    "wind_turbines": (
-        scenario_module._wind_turbine, scenario_module._WIND_RULES,
-        scenario_module._WIND_REQUIRED, WindTurbineSpec.create,
-    ),
+    "pv_arrays": (PvArraySpec.create, scenario_module._PV),
+    "wind_turbines": (WindTurbineSpec.create, scenario_module._WIND),
 }
 
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -551,15 +657,15 @@ ASSET_VALUES = st.one_of(
 
 @st.composite
 def asset_items(draw, key):
-    _, rules, required, _ = ASSETS[key]
+    _, table = ASSETS[key]
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from([None, [], "pv", 3.0, [1.0], ()]))
     # A required key is there three times in four, any other key once in four. A third of
     # the objects hold finite floats only, which the one walk takes when their keys are
     # right, and a third floats of any kind, NaN and the infinities among them.
     names = []
-    for name in [*rules, "colour"]:
-        if draw(st.integers(0, 3)) >= (1 if name in required else 3):
+    for name in [*table.rows, "colour"]:
+        if draw(st.integers(0, 3)) >= (1 if name in table.required else 3):
             names.append(name)
     values = draw(st.sampled_from([FINITE_FLOATS, st.floats(), ASSET_VALUES]))
     return {name: draw(values) for name in draw(st.permutations(names))}
@@ -584,15 +690,15 @@ ASSET_CASES = st.sampled_from(sorted(ASSETS)).flatmap(
 @example(("pv_arrays", {"module_efficiency": 0.2, "panel_area": 10, "peak_power": 1e308}))
 def test_one_walk_read_matches_the_exact_path(case):
     key, item = case
-    build, rules, required, create = ASSETS[key]
+    create, table = ASSETS[key]
     # A Mapping that is not a dict always takes the exact path of _parse_numbers.
     exact_item = MappingProxyType(item) if isinstance(item, dict) else item
 
     def exact():
-        return create(**scenario_module._parse_numbers(exact_item, rules, f"{key}[0]", required))
+        return create(**scenario_module._parse_numbers(exact_item, table, f"{key}[0]"))
 
     def fast():
-        return scenario_module._parse_assets({key: [item]}, key, build, rules, required)[0]
+        return scenario_module._parse_assets({key: [item]}, key, create, table)[0]
 
     assert outcome(fast) == outcome(exact)
 
