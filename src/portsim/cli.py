@@ -8,8 +8,8 @@ of the same name wins).
 
 The ``run`` data stream (stdout or ``--output``) carries exactly the
 serialized report bytes; the human-readable summary and all error messages
-go to stderr. Exit codes: 0 success (``--help`` included), 1 validation or
-input error, 2 usage error, reported as the usage line and one
+go to stderr. Exit codes: 0 success (``--help`` included), 1 validation,
+input or output error, 2 usage error, reported as the usage line and one
 ``portsim: error: ...`` line.
 
 Each command starts a fresh interpreter, so a subcommand imports only what
@@ -62,7 +62,10 @@ class _WriteError(PortsimError):
     module = "cli"
 
 
-def _emit(data: bytes, output: str | None) -> None:
+def _emit(data: bytes, output: str | None = None) -> None:
+    """Write ``data`` to ``output``, or to stdout and flush it; every data write goes here."""
+    if not output and sys.stdout is None:  # the process was started with its stdout closed
+        raise _WriteError("cannot write output: stdout is closed")
     try:
         if output:
             with open(output, "wb") as fh:
@@ -76,7 +79,7 @@ def _emit(data: bytes, output: str | None) -> None:
 
 def _cmd_validate(source: str) -> int:
     scenario = _load_input(source)
-    print(f"valid: {scenario.name}")
+    _emit(f"valid: {scenario.name}\n".encode("utf-8"))
     return 0
 
 
@@ -110,8 +113,8 @@ def _cmd_dispatch(source: str, output: str | None = None) -> int:
 def _cmd_presets() -> int:
     from .presets import PRESET_SUMMARIES, preset_names
     width = max(len(name) for name in preset_names())
-    for name in preset_names():
-        print(f"{name:<{width}}  {PRESET_SUMMARIES[name]}")
+    lines = [f"{name:<{width}}  {PRESET_SUMMARIES[name]}\n" for name in preset_names()]
+    _emit("".join(lines).encode("utf-8"))
     return 0
 
 
@@ -164,7 +167,7 @@ def _parse(argv: list[str]) -> tuple:
             option, has_value, value = arg.partition("=")
             matches = [o for o in (*options, "--help") if option[:2] == "--" and o.startswith(option)]
             if option == "-h" or matches == ["--help"]:
-                sys.stdout.write(_help(name))
+                _emit(_help(name).encode("utf-8"))
                 raise SystemExit(0)
             if len(matches) != 1:
                 raise ValueError(f"unrecognized option {option!r}")
@@ -187,8 +190,8 @@ def _parse(argv: list[str]) -> tuple:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    command, positional, options = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
+        command, positional, options = _parse(sys.argv[1:] if argv is None else list(argv))
         return command(*positional, **options)
     except PortsimError as exc:
         print(f"{exc.module}: {exc}", file=sys.stderr)
@@ -199,7 +202,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """Run ``main`` as the whole process and exit with its code.
+
+    What is alive before and after ``main`` lives until exit, so ``gc.freeze``
+    moves it where no collection scans it: neither the passes that imports set
+    off nor the full collection at shutdown, which runs even with the collector
+    disabled. ``main`` itself leaves the collector as it found it.
+    """
+    import gc
+    gc.freeze()
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()
+        if sys.stdout is not None:
+            try:
+                sys.stdout.flush()
+            except OSError:  # bytes whose failed write main has reported; exit would retry them
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -168,7 +168,10 @@ def load_cost_matrix(path: str | PathLike[str]) -> CostMatrix:
     """Read a matrix from a comma-separated numeric grid, one row per line."""
     rows: list[list[float]] = []
     with open(path, encoding="utf-8") as fh:
-        text = fh.read().removeprefix("\ufeff")  # spreadsheet "CSV UTF-8" exports start with a BOM
+        try:
+            text = fh.read().removeprefix("\ufeff")  # spreadsheet "CSV UTF-8" exports start with a BOM
+        except UnicodeDecodeError as exc:
+            raise DispatchError(f"not UTF-8 text: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

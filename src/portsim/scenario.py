@@ -646,7 +646,10 @@ def scenario_from_json(text: str) -> Scenario:
 def load_scenario(path: str | PathLike[str]) -> Scenario:
     """Read a scenario file; the Scenario it returns is checked and valid."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError("scenario", f"not UTF-8 text: {exc}") from None
     return scenario_from_json(text)
 
 

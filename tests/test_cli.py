@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -393,3 +394,123 @@ def test_write_error_has_its_own_message(tmp_path, capsys):
     out = tmp_path / "missing-dir" / "x.json"
     assert main(["run", "yangshan-phase4", "--output", str(out)]) == 1
     assert one_line_error(capsys).startswith("cli: cannot write output: ")
+
+
+
+def write_inputs(tmp_path):
+    """The files the commands below read; the two ``latin1`` files are not UTF-8 text."""
+    scenario = write_scenario(tmp_path)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("420,350,450\n450,400,280\n420,360,390\n")
+    (tmp_path / "latin1.json").write_bytes(b"\xff" + scenario.read_bytes())
+    (tmp_path / "latin1.csv").write_bytes(b"\xff" + grid.read_bytes())
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [(["validate", "latin1.json"], "scenario"), (["run", "latin1.json"], "scenario"),
+     (["dispatch", "latin1.csv"], "dispatch")],
+)
+def test_a_file_that_is_not_utf8_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv, module):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert one_line_error(capsys) == f"{module}: not UTF-8 text: {reason}\n"
+
+
+def cold_command(tmp_path, args, *flags, prelude="", stdout=subprocess.PIPE, **kwargs):
+    """``python -m portsim.cli ARGS`` in a fresh interpreter, run from ``tmp_path``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
+    code = (
+        f"import runpy, sys; sys.path.insert(0, {src!r}); sys.argv = ['portsim', *{args!r}]\n"
+        f"{prelude}runpy.run_module('portsim.cli', run_name='__main__')"
+    )
+    return subprocess.run([sys.executable, "-E", "-S", *flags, "-c", code], cwd=tmp_path,
+                          stdout=stdout, stderr=subprocess.PIPE, **kwargs)
+
+
+def run_main(args):
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+#: (arguments, exit code): every way out of ``main``
+COMMANDS = [
+    (["run", "yangshan-phase4"], 0),
+    (["run", "scenario.json", "--format", "csv"], 0),
+    (["validate", "scenario.json"], 0),
+    (["dispatch", "grid.csv"], 0),
+    (["presets"], 0),
+    (["run", "--help"], 0),
+    (["validate", "no-such-preset"], 1),
+    (["dispatch", "missing.csv"], 1),
+    (["validate", "latin1.json"], 1),
+    (["run", "yangshan-phase4", "--format", "xml"], 2),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("args, code", COMMANDS)
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys, args, code, enabled):
+    # only the entrypoint, which owns the process, freezes what lives until exit
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert run_main(args) == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("args, code", COMMANDS)
+def test_a_cold_command_freezes_and_says_what_main_says(tmp_path, monkeypatch, capsysbinary, args, code):
+    write_inputs(tmp_path)
+    at_exit = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+    )
+    proc = cold_command(tmp_path, args, prelude=at_exit)
+    stderr, _, frozen = proc.stderr.rpartition(b"frozen ")
+    assert int(frozen) > 0
+    monkeypatch.chdir(tmp_path)
+    assert run_main(args) == code
+    captured = capsysbinary.readouterr()
+    assert (proc.returncode, proc.stdout, stderr) == (code, captured.out, captured.err)
+
+
+WRITING_COMMANDS = [
+    ["run", "yangshan-phase4"],
+    ["run", "scenario.json", "--format", "csv"],
+    ["validate", "yangshan-phase4"],
+    ["dispatch", "grid.csv"],
+    ["presets"],
+    ["--help"],
+    ["run", "--help"],
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", WRITING_COMMANDS)
+def test_a_full_stdout_is_exit_1_and_one_line(tmp_path, args, flags):
+    # buffered, the write fails at its flush and its bytes stay in the buffer, which the
+    # flush at shutdown would retry: exit 120 and two more lines; unbuffered, it fails at once
+    write_inputs(tmp_path)
+    with open("/dev/full", "wb") as full:
+        proc = cold_command(tmp_path, args, *flags, stdout=full)
+    assert proc.returncode == 1
+    assert re.fullmatch(rb"cli: cannot write output: \[Errno \d+\] [^\n]+\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize("args", WRITING_COMMANDS)
+def test_a_closed_stdout_is_exit_1_and_one_line(tmp_path, args):
+    # a process started without fd 1 has sys.stdout set to None
+    write_inputs(tmp_path)
+    proc = cold_command(tmp_path, args, stdout=None, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (1, b"cli: cannot write output: stdout is closed\n")

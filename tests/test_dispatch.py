@@ -548,3 +548,10 @@ def test_load_cost_matrix_skips_a_utf8_bom(tmp_path):
     twice.write_bytes("\ufeff\ufeff1,2\n".encode("utf-8"))
     with pytest.raises(DispatchError, match="^line 1: "):
         load_cost_matrix(twice)
+
+
+def test_load_cost_matrix_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(b"\xff420,350\n450,400\n")
+    with pytest.raises(DispatchError, match="^not UTF-8 text: 'utf-8' codec can't decode byte 0xff"):
+        load_cost_matrix(path)

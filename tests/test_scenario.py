@@ -269,6 +269,14 @@ def test_invalid_json_reported():
         scenario_from_json("{not json")
 
 
+def test_a_file_that_is_not_utf8_is_a_validation_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff" + json.dumps(make_scenario_dict()).encode("utf-8"))
+    with pytest.raises(ValidationError, match="^not UTF-8 text: 'utf-8' codec can't decode byte 0xff") as excinfo:
+        scenario_module.load_scenario(path)
+    assert excinfo.value.field == "scenario"
+
+
 def test_defaults_for_pv_and_wind_assets():
     pv = PvArraySpec.create(panel_area=50000.0, module_efficiency=0.17)
     assert pv.irradiance == 1.0
