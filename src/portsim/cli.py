@@ -96,7 +96,10 @@ def _cmd_run(source: str, format: str = "json", output: str | None = None,
         scenario = with_weights(scenario, replace(scenario.objective_weights, **weights))
     report = run_scenario(scenario)
     _emit(serialize_report(report, format), output)
-    print(summarize(report), file=sys.stderr)
+    try:
+        print(summarize(report), file=sys.stderr)
+    except OSError as exc:  # a write failure, which main must not report as a read failure
+        raise _WriteError(f"cannot write summary: {exc}") from None
     return 0
 
 
@@ -184,9 +187,17 @@ def _parse(argv: list[str]) -> tuple:
             raise ValueError(f"unexpected argument {extra[0]!r}" if extra else "missing INPUT")
     except ValueError as exc:
         usage = _help(name).partition("\n")[0]
-        sys.stderr.write(f"{usage}\nportsim: error: {exc}\n")
+        _complain(f"{usage}\nportsim: error: {exc}")
         raise SystemExit(2) from None
     return _COMMANDS[name][0], positional, values
+
+
+def _complain(message: str) -> None:
+    """Print ``message`` to stderr; if stderr cannot take it, the exit code alone tells."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -194,10 +205,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         command, positional, options = _parse(sys.argv[1:] if argv is None else list(argv))
         return command(*positional, **options)
     except PortsimError as exc:
-        print(f"{exc.module}: {exc}", file=sys.stderr)
+        _complain(f"{exc.module}: {exc}")
         return 1
-    except OSError as exc:
-        print(f"cli: cannot read input: {exc}", file=sys.stderr)
+    except OSError as exc:  # every write failure is a _WriteError by now
+        _complain(f"cli: cannot read input: {exc}")
         return 1
 
 
@@ -215,11 +226,12 @@ def entrypoint() -> None:
         raise SystemExit(main())
     finally:
         gc.freeze()
-        if sys.stdout is not None:
-            try:
-                sys.stdout.flush()
-            except OSError:  # bytes whose failed write main has reported; exit would retry them
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                try:
+                    stream.flush()
+                except OSError:  # bytes whose failed write main has met; exit would retry them
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 if __name__ == "__main__":

@@ -82,8 +82,8 @@ class CostMatrix:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> CostMatrix:
         """Build and validate a matrix from any nested iterable of numbers. A row
-        that is text or not iterable, or a cell that ``float()`` rejects, raises
-        ``DispatchError`` naming it."""
+        that is text or not iterable, or a cell that is text or that ``float()``
+        rejects, raises ``DispatchError`` naming it."""
         # Built from lists: a tuple grown from a generator is resized to
         # fit, and the resized tuples pile up on CPython's tuple free lists
         # (about 0.75 MB after a few hundred fleet-sized matrices). Rows
@@ -99,6 +99,10 @@ class CostMatrix:
         except (TypeError, ValueError):
             _check_cells(rows)
             raise
+        try:
+            sum(map(sum, rows))  # float() parses text, so one C pass over the cells finds it
+        except (TypeError, OverflowError):  # or cells it cannot add, such as a Decimal beside a float
+            _check_cells(rows)
         return cls(entries=entries)
 
 
@@ -115,10 +119,12 @@ def _row_cells(i: int, row: Iterable[float]) -> list[float]:
 
 
 def _check_cells(rows: list[Sequence[float]]) -> None:
-    """Raise ``DispatchError`` naming the first cell that ``float()`` rejects."""
+    """Raise ``DispatchError`` naming the first cell that is text or that ``float()`` rejects."""
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             try:
+                if isinstance(cell, (str, bytes, bytearray)):
+                    raise TypeError
                 float(cell)
             except (TypeError, ValueError):
                 raise DispatchError(f"cost matrix entry ({i}, {j}) is not a number: {cell!r}") from None
@@ -193,9 +199,10 @@ def _total(selected: Iterable[float]) -> float:
 
 def _exact_costs(entries: tuple[tuple[float, ...], ...]) -> list[Sequence[float]]:
     """Costs on which the solve adds and compares exactly: the float rows
-    as they are if all are integral and C * (n + 2) < 2**53, for C the
-    largest entry and n = max(rows, cols); else the entries times one
-    common power of two, as Python ints (an integral x gives ``int(x)``).
+    as they are if all are integral floats and C * (n + 2) < 2**53, for C
+    the largest entry and n = max(rows, cols); else the entries times one
+    common power of two, as Python ints (an integral x gives ``int(x)``;
+    the int and bool entries a directly built matrix may hold go here too).
 
     The greedy start of ``_shortest_paths`` moves no dual, and each of its
     searches raises the matched cost by at least its ``low`` and at most C
@@ -206,8 +213,11 @@ def _exact_costs(entries: tuple[tuple[float, ...], ...]) -> list[Sequence[float]
     matrix over the bound.
     """
     n = max(len(entries), len(entries[0]))
-    if max(map(max, entries)) * (n + 2) < 2**53 and all(map(float.is_integer, itertools.chain(*entries))):
-        return [*entries]
+    try:
+        if max(map(max, entries)) * (n + 2) < 2**53 and all(map(float.is_integer, itertools.chain(*entries))):
+            return [*entries]
+    except TypeError:  # an int or bool entry, which the ratio pass below takes
+        pass
     ratios = [[x.as_integer_ratio() for x in row] for row in entries]
     scale = max(q for row in ratios for _, q in row)
     return [[p * (scale // q) for p, q in row] for row in ratios]

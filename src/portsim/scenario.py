@@ -16,10 +16,18 @@ derived by ``create`` from the other fields. A value passes on one
 comparison, ``type(v) is float and low <= v <= high``, which also fails
 for NaN and the infinities; only a failing value takes the slow path,
 which accepts an int in range or raises with the field path, formatted
-only then. A file's record of finite floats under known keys is read in
-one walk, and any miss takes the exact path. Parsing, the range check,
-the allowed and required keys and ``create``'s defaults all read the
-same tables.
+only then. A file's record is read in one walk when its keys are known
+and each of its values is a float in its range. The record built from it
+is marked as in range if the fields ``create`` derives are in range too;
+the mark is kept outside the fields (no comparison, hash, repr,
+``replace`` or ``asdict`` sees it), and the Scenario's check passes a
+marked record without walking it again. Any miss takes the exact path,
+which checks keys, types and finiteness and leaves ranges to the check,
+so a document's first error is the same on either path. A supply the
+file leaves to the assets is modeled once: the check reuses the parse's
+result while the Scenario holds the same asset tuples. Parsing, the range
+check, the allowed and required keys and ``create``'s defaults all read
+the same tables.
 
 Scenario files are JSON with keys named exactly like the record fields
 below. Unknown keys are rejected rather than ignored, so a typo in a file
@@ -287,7 +295,8 @@ class _Table:
     default being a constant, or None for a value ``create`` derives from the other fields.
     ``rows`` maps each to ``(name, low, high, wording, default)``; ``fields`` holds every key a
     file may give, ``required`` (set-like, in order) the numbers it must give, and ``defaults``
-    the others' defaults in order, as ``create`` takes them."""
+    the others' defaults in order, as ``create`` takes them. ``limits`` maps each number to
+    ``(low, high)``, and ``derived`` holds ``(name, low, high)`` of those ``create`` derives."""
 
     def __init__(self, cls: type, **rows: Any) -> None:
         declared, self.rows = vars(cls), {}
@@ -297,6 +306,8 @@ class _Table:
         self.fields = frozenset(cls.__match_args__)
         self.required = {n: None for n, *_, d in self.rows.values() if d is _REQUIRED}.keys()
         self.defaults = tuple(d for *_, d in self.rows.values() if d is not _REQUIRED)
+        self.limits = {n: (low, high) for n, low, high, *_ in self.rows.values()}
+        self.derived = tuple((n, low, high) for n, low, high, _, d in self.rows.values() if d is None)
 
 
 _THROUGHPUT = _Table(ThroughputSpec, teu_per_year=_NON_NEGATIVE, unit_energy=_NON_NEGATIVE)
@@ -351,8 +362,26 @@ PvArraySpec.create.__defaults__ = _PV.defaults
 WindTurbineSpec.create.__defaults__ = _WIND.defaults
 
 
+#: The key, outside the fields, that marks a record whose every field is in range; like
+#: ``Scenario._generation``, no comparison, hash, repr, ``replace`` or ``asdict`` sees it.
+_IN_RANGE = "_in_range"
+
+
+def _in_range(built: Any, table: _Table) -> Any:
+    """``built``, marked if each field ``create`` derived is in its range. Its other
+    fields passed theirs in the one-walk read (a supply's fields are all derived)."""
+    values = built.__dict__
+    for name, low, high in table.derived:
+        if not low <= values[name] <= high:  # an overflow to inf, or a NaN
+            return built
+    values[_IN_RANGE] = True
+    return built
+
+
 def _check_record(record: Any, table: _Table, where: str, index: int | None = None) -> None:
     values = record.__dict__
+    if _IN_RANGE in values:
+        return
     for name, low, high, bounds, _ in table.rows.values():
         value = values[name]
         if type(value) is not float or not low <= value <= high:
@@ -407,7 +436,12 @@ def _check_scenario(scenario: Scenario) -> None:
         _check_record(wt, _WIND, "wind_turbines", i)
 
     if r.source is RenewableSource.FROM_PV_WIND_MODELS:
-        generation = _modeled(scenario.pv_arrays, scenario.wind_turbines)
+        pv_arrays, wind_turbines = scenario.pv_arrays, scenario.wind_turbines
+        kept = r.__dict__.get(_DERIVED_FROM)  # what the parse modeled, and from which assets
+        if kept is not None and kept[0] is pv_arrays and kept[1] is wind_turbines:
+            generation = kept[2]
+        else:
+            generation = _modeled(pv_arrays, wind_turbines)
         modeled = generation.total_annual_mwh
         if not math.isclose(
             r.renewable_energy, modeled, rel_tol=MODELED_SUPPLY_TOLERANCE, abs_tol=0.0
@@ -470,23 +504,39 @@ def _check_keys(
 
 def _parse_numbers(
     raw: Mapping[str, Any], table: _Table, where: str, index: int | None = None
-) -> Mapping[str, Any]:
-    """The keys of ``table`` present in ``raw``, as finite floats.
+) -> dict[str, float]:
+    """The keys of ``table`` present in ``raw``, as finite floats: the exact path.
 
     Only keys, types and finiteness are checked here; ranges are checked
-    when the Scenario is built, so errors keep their established order. A
-    dict of finite floats holding every required key is returned as it is.
+    when the Scenario is built, so errors keep their established order.
     """
-    rows = table.rows
-    if type(raw) is dict and raw.keys() >= table.required:
-        for key, value in raw.items():
-            if key not in rows or type(value) is not float or not _MIN <= value <= _MAX:
-                break
-        else:
-            return raw
     where = where if index is None else f"{where}[{index}]"
     _check_keys(raw, table.fields, table.required, where)
-    return {name: _number(raw[name], f"{where}.{name}") for name in rows if name in raw}
+    return {name: _number(raw[name], f"{where}.{name}") for name in table.rows if name in raw}
+
+
+def _parse_record(
+    raw: Mapping[str, Any], build: Callable, table: _Table, where: str, index: int | None = None
+) -> Any:
+    """``build(**numbers)`` of the numbers in ``raw``.
+
+    The one-walk read: a dict holding every required key, each of whose
+    values is a float in its field's range, is built from as it is, and the
+    record is marked as in range if its derived fields are too. Anything
+    else takes the exact path of ``_parse_numbers``, unmarked.
+    """
+    if type(raw) is dict and raw.keys() >= table.required:
+        limits = table.limits
+        try:
+            for key, value in raw.items():
+                low, high = limits[key]
+                if type(value) is not float or not low <= value <= high:
+                    break
+            else:
+                return _in_range(build(**raw), table)
+        except KeyError:  # a key the record does not have
+            pass
+    return build(**_parse_numbers(raw, table, where, index))
 
 
 def _parse_assets(
@@ -495,7 +545,12 @@ def _parse_assets(
     items = raw.get(key, [])
     if not isinstance(items, list):
         raise ValidationError(key, f"{key} must be a list")
-    return tuple([build(**_parse_numbers(item, table, key, i)) for i, item in enumerate(items)])
+    return tuple([_parse_record(item, build, table, key, i) for i, item in enumerate(items)])
+
+
+#: The key, outside the fields, under which a supply the parse derived from the assets
+#: keeps ``(pv_arrays, wind_turbines, GenerationResult)``, for the check to reuse.
+_DERIVED_FROM = "_derived_from"
 
 
 def _parse_renewables(
@@ -513,11 +568,13 @@ def _parse_renewables(
             f"renewables.source must be one of {[m.value for m in RenewableSource]}, "
             f"got {source_raw!r}",
         ) from None
+    generation = None
     if "renewable_energy" in raw:
         renewable_energy = _number(raw["renewable_energy"], "renewables.renewable_energy")
     elif source is RenewableSource.FROM_PV_WIND_MODELS:
         # Derive the supply from the scenario's own generation assets.
-        renewable_energy = _modeled(pv_arrays, wind_turbines).total_annual_mwh
+        generation = _modeled(pv_arrays, wind_turbines)
+        renewable_energy = generation.total_annual_mwh
     else:
         raise ValidationError(
             "renewables.renewable_energy",
@@ -527,7 +584,10 @@ def _parse_renewables(
     new_green = None
     if "new_green_energy" in raw:
         new_green = _number(raw["new_green_energy"], "renewables.new_green_energy")
-    return RenewableSupplySpec.create(renewable_energy, source, new_green)
+    supply = _in_range(RenewableSupplySpec.create(renewable_energy, source, new_green), _SUPPLY)
+    if generation is not None:
+        supply.__dict__[_DERIVED_FROM] = (pv_arrays, wind_turbines, generation)
+    return supply
 
 
 def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
@@ -535,16 +595,19 @@ def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
     if type(raw) is dict and "renewables_reduce_score" in raw:
         numbers = raw.copy()  # the flag is no float, so it would miss the one-walk read
         del numbers["renewables_reduce_score"]
-    kwargs = _parse_numbers(numbers, _WEIGHTS, "objective_weights")
-    if "renewables_reduce_score" in raw:
-        flag = raw["renewables_reduce_score"]
-        if not isinstance(flag, bool):
-            raise ValidationError(
-                "objective_weights.renewables_reduce_score",
-                "objective_weights.renewables_reduce_score must be a boolean",
-            )
-        kwargs["renewables_reduce_score"] = flag
-    return ObjectiveWeights(**kwargs)
+
+    def build(**kwargs: float) -> ObjectiveWeights:  # called once the numbers are read
+        if "renewables_reduce_score" in raw:
+            flag = raw["renewables_reduce_score"]
+            if not isinstance(flag, bool):
+                raise ValidationError(
+                    "objective_weights.renewables_reduce_score",
+                    "objective_weights.renewables_reduce_score must be a boolean",
+                )
+            kwargs["renewables_reduce_score"] = flag
+        return ObjectiveWeights(**kwargs)
+
+    return _parse_record(numbers, build, _WEIGHTS, "objective_weights")
 
 
 def _parse_matrix(raw: Any) -> CostMatrix | None:
@@ -585,11 +648,11 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
 
     return Scenario(
         name=name,
-        throughput=ThroughputSpec(**_parse_numbers(raw["throughput"], _THROUGHPUT, "throughput")),
-        shares=SectorShares(**_parse_numbers(raw["shares"], _SHARES, "shares")),
-        factors=EmissionFactorSet(**_parse_numbers(raw["factors"], _FACTORS, "factors")),
+        throughput=_parse_record(raw["throughput"], ThroughputSpec, _THROUGHPUT, "throughput"),
+        shares=_parse_record(raw["shares"], SectorShares, _SHARES, "shares"),
+        factors=_parse_record(raw["factors"], EmissionFactorSet, _FACTORS, "factors"),
         renewables=_parse_renewables(raw["renewables"], pv_arrays, wind_turbines),
-        costs=CostParameters(**_parse_numbers(raw["costs"], _COSTS, "costs")),
+        costs=_parse_record(raw["costs"], CostParameters, _COSTS, "costs"),
         pv_arrays=pv_arrays,
         wind_turbines=wind_turbines,
         dispatch_matrix=_parse_matrix(raw.get("dispatch_matrix")),

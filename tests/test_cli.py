@@ -427,7 +427,7 @@ def cold_command(tmp_path, args, *flags, prelude="", stdout=subprocess.PIPE, **k
         f"{prelude}runpy.run_module('portsim.cli', run_name='__main__')"
     )
     return subprocess.run([sys.executable, "-E", "-S", *flags, "-c", code], cwd=tmp_path,
-                          stdout=stdout, stderr=subprocess.PIPE, **kwargs)
+                          stdout=stdout, **{"stderr": subprocess.PIPE, **kwargs})
 
 
 def run_main(args):
@@ -506,6 +506,48 @@ def test_a_full_stdout_is_exit_1_and_one_line(tmp_path, args, flags):
         proc = cold_command(tmp_path, args, *flags, stdout=full)
     assert proc.returncode == 1
     assert re.fullmatch(rb"cli: cannot write output: \[Errno \d+\] [^\n]+\n", proc.stderr), proc.stderr
+
+
+class FullStream:
+    """A stream whose every write fails, as a full disk's does."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+#: (arguments, exit code) of commands that write to stderr
+STDERR_COMMANDS = [
+    (["run", "yangshan-phase4"], 1),  # the summary
+    (["run", "scenario.json", "--format", "csv"], 1),
+    (["validate", "no-such-preset"], 1),  # an error
+    (["dispatch", "missing.csv"], 1),
+    (["run", "yangshan-phase4", "--format", "xml"], 2),  # a usage error
+]
+
+
+@pytest.mark.parametrize("args, code", STDERR_COMMANDS)
+def test_a_stderr_that_cannot_be_written_is_an_exit_code_alone(tmp_path, monkeypatch, capsysbinary,
+                                                                args, code):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    run_main(args)
+    written = capsysbinary.readouterr().out
+    monkeypatch.setattr(sys, "stderr", FullStream())
+    assert run_main(args) == code  # no exception leaves main
+    assert capsysbinary.readouterr().out == written  # the report still goes out whole
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("args, code", STDERR_COMMANDS)
+def test_a_full_stderr_is_an_exit_code_alone(tmp_path, args, code):
+    write_inputs(tmp_path)
+    with open("/dev/full", "wb") as full:
+        proc = cold_command(tmp_path, args, stderr=full)
+    written = cold_command(tmp_path, args).stdout
+    assert (proc.returncode, proc.stdout) == (code, written)
 
 
 @pytest.mark.parametrize("args", WRITING_COMMANDS)

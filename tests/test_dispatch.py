@@ -126,6 +126,34 @@ def test_text_row_is_named(text):
         CostMatrix.from_rows([[1.0, 2.0], text])
 
 
+@pytest.mark.parametrize(
+    ("rows", "where", "shown"),
+    [
+        ([["1", b"2"]], "0, 0", "'1'"),
+        ([[1.0, 2.0], [3.0, b"4"]], "1, 1", "b'4'"),
+        ([[1, bytearray(b"2")]], "0, 1", "bytearray(b'2')"),
+        ([[1.0, " 7 "], [2.0, 3.0]], "0, 1", "' 7 '"),
+        ([[10**308, 10**308, "1"]], "0, 2", "'1'"),  # the int sum passes the float range first
+    ],
+)
+def test_text_cell_is_named(rows, where, shown):
+    # float() parses text, so each of these cells used to become a number
+    message = rf"^cost matrix entry \({where}\) is not a number: {re.escape(shown)}$"
+    with pytest.raises(DispatchError, match=message):
+        CostMatrix.from_rows(rows)
+    with pytest.raises(DispatchError, match=message):
+        CostMatrix.from_rows(iter([iter(row) for row in rows]))
+
+
+def test_numbers_that_sum_refuses_beside_a_float_are_accepted():
+    from decimal import Decimal
+    from fractions import Fraction
+
+    rows = [[Decimal("1.5"), 2.0], [Fraction(1, 4), True]]
+    assert CostMatrix.from_rows(rows).entries == ((1.5, 2.0), (0.25, 1.0))
+    assert CostMatrix.from_rows([[10**308, 10**308, 1.0]]).entries == ((1e308, 1e308, 1.0),)
+
+
 def test_matrix_given_as_one_string_is_named():
     with pytest.raises(DispatchError, match=r"^cost matrix row 0 is text"):
         CostMatrix.from_rows("12")
@@ -555,3 +583,28 @@ def test_load_cost_matrix_rejects_a_file_that_is_not_utf8(tmp_path):
     path.write_bytes(b"\xff420,350\n450,400\n")
     with pytest.raises(DispatchError, match="^not UTF-8 text: 'utf-8' codec can't decode byte 0xff"):
         load_cost_matrix(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.one_of(st.integers(0, 20), st.booleans()), min_size=cols, max_size=cols),
+            min_size=1, max_size=5,
+        )
+    ),
+    st.booleans(),
+)
+def test_int_entries_solve_like_their_floats(rows, mixed):
+    # a matrix built directly may hold ints and bools, which from_rows turns into floats
+    if mixed:
+        rows[0][0] = float(rows[0][0])
+    direct = solve_assignment(CostMatrix(entries=tuple(map(tuple, rows))))
+    converted = solve_assignment(CostMatrix.from_rows(rows))
+    assert direct == converted and repr(direct) == repr(converted)
+
+
+def test_int_entries_that_stopped_the_solve_are_solved():
+    assert solve_assignment(CostMatrix(entries=((1, 2), (3, 0)))) == Assignment((0, 1), 1.0)
+    assert solve_assignment(CostMatrix(entries=((1.5, True),))) == Assignment((1,), 1.0)
+    assert solve_assignment(CostMatrix(entries=((1.0, 2),))) == Assignment((0,), 1.0)

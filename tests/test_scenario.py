@@ -617,7 +617,7 @@ def test_a_null_new_green_energy_is_rejected():
     assert supply.new_green_energy == 10.0
 
 
-def test_a_modeled_supply_is_modeled_once_per_scenario(monkeypatch):
+def counting_models(monkeypatch):
     import portsim.renewables as renewables_module
 
     calls = []
@@ -625,6 +625,12 @@ def test_a_modeled_supply_is_modeled_once_per_scenario(monkeypatch):
     monkeypatch.setattr(
         renewables_module, "annual_generation", lambda *args: calls.append(1) or model(*args)
     )
+    return calls
+
+
+def test_a_modeled_supply_is_modeled_once_per_scenario(monkeypatch):
+    calls = counting_models(monkeypatch)
+    model = annual_generation
     pv = [{"panel_area": 5000.0, "module_efficiency": 0.2}]
     stated = model([PvArraySpec.create(**pv[0])], []).total_annual_mwh
     raw = make_scenario_dict(
@@ -644,6 +650,119 @@ def test_a_modeled_supply_is_modeled_once_per_scenario(monkeypatch):
     no_assets = replace(scenario.renewables, renewable_energy=0.0)
     changed = replace(scenario, pv_arrays=(), renewables=no_assets)
     assert run_scenario(changed).generation == model((), ())
+
+
+DERIVED_SUPPLY = make_scenario_dict(
+    renewables={"source": "from_pv_wind_models"},
+    pv_arrays=[{"panel_area": 5000.0, "module_efficiency": 0.2}],
+    wind_turbines=[{"swept_area": 2000.0, "wind_speed": 7.5, "operating_hours": 2500.0}],
+)
+
+
+def test_a_derived_supply_is_modeled_once_by_its_file_and_its_overrides(monkeypatch):
+    calls = counting_models(monkeypatch)
+    scenario = scenario_from_dict(copy.deepcopy(DERIVED_SUPPLY))
+    assert len(calls) == 1  # the parse derives it; the check reuses what the parse modeled
+    overridden = with_shares(scenario, SectorShares(0.2, 0.3, 0.5))
+    overridden = with_weights(overridden, ObjectiveWeights(w_energy=2.0))
+    report = run_scenario(overridden)
+    assert len(calls) == 1
+    assert report.generation == annual_generation(scenario.pv_arrays, scenario.wind_turbines)
+    # the same assets in new tuples are modeled again, and agree
+    assert replace(scenario, pv_arrays=tuple([*scenario.pv_arrays])) == scenario
+    assert len(calls) == 2
+
+
+def test_new_assets_under_a_derived_supply_are_still_checked():
+    scenario = scenario_from_dict(copy.deepcopy(DERIVED_SUPPLY))
+    stated = scenario.renewables.renewable_energy
+    other = (PvArraySpec.create(panel_area=6000.0, module_efficiency=0.2),)
+    fields = [getattr(scenario, name) for name in Scenario.__match_args__]
+    for build, pv_arrays, wind_turbines in [
+        (lambda: replace(scenario, pv_arrays=other), other, scenario.wind_turbines),
+        (lambda: Scenario(*fields[:6], other, *fields[7:]), other, scenario.wind_turbines),
+        (lambda: replace(scenario, wind_turbines=()), scenario.pv_arrays, ()),
+    ]:
+        modeled = annual_generation(pv_arrays, wind_turbines).total_annual_mwh
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        assert (excinfo.value.field, str(excinfo.value)) == (
+            "renewables.renewable_energy",
+            f"renewables.renewable_energy is {stated:.12g} but the PV/wind assets model "
+            f"{modeled:.12g} MWh/yr",
+        )
+
+
+def records_of(scenario):
+    """Each record a file describes, in the order of ``TABLES``."""
+    return [scenario.throughput, scenario.shares, scenario.factors, scenario.renewables,
+            scenario.pv_arrays[0], scenario.wind_turbines[0], scenario.costs,
+            scenario.objective_weights]
+
+
+@pytest.mark.parametrize("weights", [{}, {"w_energy": 2.0, "renewables_reduce_score": False}])
+def test_a_record_read_in_one_walk_behaves_like_one_built_by_hand(weights):
+    import dataclasses
+
+    from portsim._record import asdict as record_asdict
+    from portsim._record import replace as record_replace
+
+    raw = copy.deepcopy(DERIVED_SUPPLY)
+    raw["objective_weights"] = weights
+    scenario = scenario_from_dict(raw)
+    for (cls, _, _), record in zip(TABLES, records_of(scenario)):
+        assert scenario_module._IN_RANGE in record.__dict__, cls  # every record took the walk
+        twin = cls(*[getattr(record, name) for name in cls.__match_args__])
+        assert scenario_module._IN_RANGE not in twin.__dict__
+        assert record == twin and twin == record and not record != twin
+        assert hash(record) == hash(twin) and repr(record) == repr(twin)
+        assert pickle.loads(pickle.dumps(record)) == twin
+        assert copy.deepcopy(record) == twin
+        assert record_asdict(record) == record_asdict(twin) == dataclasses.asdict(twin)
+        assert dataclasses.asdict(record) == dataclasses.asdict(twin)
+        for again in (record_replace(record), dataclasses.replace(record)):
+            assert again == twin and scenario_module._IN_RANGE not in again.__dict__
+        assert [f.name for f in dataclasses.fields(record)] == list(cls.__match_args__)
+    # and so does a Scenario holding them
+    twin = Scenario(*[getattr(scenario, name) for name in Scenario.__match_args__])
+    assert twin == scenario and hash(twin) == hash(scenario) and repr(twin) == repr(scenario)
+    assert scenario_to_json(twin) == scenario_to_json(scenario)
+    assert run_scenario(twin) == run_scenario(scenario)
+
+
+#: Assets in range whose derived power is not, with the error the program gave before the
+#: one-walk read marked records in range: the derived field, checked by the Scenario.
+DERIVED_OVERFLOWS = [
+    ("pv_arrays", {"panel_area": 1e308, "irradiance": 10.0, "module_efficiency": 1.0},
+     "pv_arrays[0].peak_power", "pv_arrays[0].peak_power must be finite, got inf"),
+    ("pv_arrays", {"panel_area": 1e308, "irradiance": 10.0, "module_efficiency": 0.0},
+     "pv_arrays[0].peak_power", "pv_arrays[0].peak_power must be finite, got nan"),
+    ("wind_turbines", {"swept_area": 1e308, "wind_speed": 100.0, "operating_hours": 1.0},
+     "wind_turbines[0].average_power", "wind_turbines[0].average_power must be finite, got inf"),
+    ("wind_turbines", {"swept_area": 1e308, "wind_speed": 1e200, "operating_hours": 1.0,
+                       "power_coefficient": 1e-300},
+     "wind_turbines[0].average_power", "wind_turbines[0].average_power must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("key, item, field, message", DERIVED_OVERFLOWS,
+                         ids=["pv-inf", "pv-nan", "wind-inf", "wind-cube-inf"])
+def test_a_derived_power_out_of_range_is_rejected(key, item, field, message):
+    for exact in (False, True):  # the one-walk read, then the exact path
+        raw = make_scenario_dict(**{key: [item]})
+        if exact:
+            raw[key] = [MappingProxyType(item)]
+        with pytest.raises(ValidationError) as excinfo:
+            scenario_from_dict(raw)
+        assert (excinfo.value.field, str(excinfo.value)) == (field, message)
+
+
+@pytest.mark.parametrize("cls, table, where", TABLES, ids=[cls.__name__ for cls, _, _ in TABLES])
+def test_every_table_default_lies_in_its_range(cls, table, where):
+    # a record read in one walk takes its constant defaults unchecked
+    for name, low, high, _, default in table.rows.values():
+        if default is not REQUIRED and default is not None:
+            assert type(default) is float and low <= default <= high, name
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +828,14 @@ def test_one_walk_read_matches_the_exact_path(case):
         return scenario_module._parse_assets({key: [item]}, key, create, table)[0]
 
     assert outcome(fast) == outcome(exact)
+    # a record the one-walk read marks in range passes the range check that the mark skips
+    try:
+        record = fast()
+    except ValidationError:
+        return
+    assert scenario_module._IN_RANGE not in exact().__dict__
+    if scenario_module._IN_RANGE in record.__dict__:
+        scenario_module._check_record(replace(record), table, key, 0)
 
 
 PV = {"panel_area": 100.0, "module_efficiency": 0.2}
