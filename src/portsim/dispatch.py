@@ -47,29 +47,31 @@ if TYPE_CHECKING:
 class CostMatrix:
     """Dense rectangular matrix of non-negative finite costs (km or generic).
 
-    Construction checks that the matrix is non-empty, not ragged and that
-    every entry is finite and non-negative, so every instance is solvable.
+    Construction takes any iterable of rows of numbers and keeps them as a
+    tuple of float tuples, so every instance is solvable. An empty or ragged
+    matrix, or a cell that is text, not a number, not finite or negative,
+    raises ``DispatchError`` naming the first such row or cell, row by row.
     """
 
     entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        entries = self.entries
-        if not entries or not entries[0]:
-            raise DispatchError("cost matrix must have at least one row and one column")
-        width = len(entries[0])
-        # A NaN, an infinity or a sum past the float range fails this test;
-        # the loop below then names the entry, or accepts the matrix. Lengths
-        # come first: ``min`` of an empty row raises.
-        if {*map(len, entries)} == {width} and 0.0 <= min(map(min, entries)) and sum(map(sum, entries)) < math.inf:
-            return
-        for i, row in enumerate(entries):
-            if len(row) != width:
-                raise DispatchError(f"cost matrix row {i} has {len(row)} entries, expected {width}")
-            for j, value in enumerate(row):
-                if not 0.0 <= value < math.inf:  # NaN, infinities and negatives
-                    problem = "negative" if math.isfinite(value) else "not finite"
-                    raise DispatchError(f"cost matrix entry ({i}, {j}) is {problem}")
+        # Rows other than lists and tuples are copied, so a failed check can name the cell. Float
+        # rows are built from lists: a tuple grown from a generator is resized to fit, and resized
+        # tuples pile up on CPython's tuple free lists (0.75 MB after a few hundred fleet matrices).
+        rows = [row if row.__class__ in _SEQUENCES else _row_cells(i, row)
+                for i, row in enumerate(self.entries)]
+        try:
+            entries = tuple([tuple([*map(float, row)]) for row in rows])
+            # ``min`` of the cells raises on text (float() parses it) beside any number and finds
+            # negatives; the float sum is not below inf for a NaN, an infinity or a total past range.
+            valid = rows and {*map(len, rows)} == {len(rows[0])} and 0.0 <= min(map(min, rows))
+            valid = valid and sum(map(sum, entries)) < math.inf
+        except (TypeError, ValueError, ArithmeticError):  # also an int past range, a Decimal NaN
+            valid = False
+        if not valid:  # raises for any cell float() rejected, so ``entries`` is set below; passes
+            _check_cells(rows)  # valid cells that only sum past the range or that min cannot compare
+        self.__dict__["entries"] = entries
 
     @property
     def n_rows(self) -> int:
@@ -81,29 +83,8 @@ class CostMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> CostMatrix:
-        """Build and validate a matrix from any nested iterable of numbers. A row
-        that is text or not iterable, or a cell that is text or that ``float()``
-        rejects, raises ``DispatchError`` naming it."""
-        # Built from lists: a tuple grown from a generator is resized to
-        # fit, and the resized tuples pile up on CPython's tuple free lists
-        # (about 0.75 MB after a few hundred fleet-sized matrices). Rows
-        # other than lists and tuples are copied, so a failed conversion
-        # can be traced back to its cell.
-        rows = [row if row.__class__ in _SEQUENCES else _row_cells(i, row) for i, row in enumerate(rows)]
-        try:
-            entries = tuple([tuple([*map(float, row)]) for row in rows])
-        except OverflowError:
-            raise DispatchError(
-                "cost matrix entry is not finite (an integer too large for a float)"
-            ) from None
-        except (TypeError, ValueError):
-            _check_cells(rows)
-            raise
-        try:
-            sum(map(sum, rows))  # float() parses text, so one C pass over the cells finds it
-        except (TypeError, OverflowError):  # or cells it cannot add, such as a Decimal beside a float
-            _check_cells(rows)
-        return cls(entries=entries)
+        """``CostMatrix(entries=rows)``: the same check and the same errors."""
+        return cls(entries=rows)
 
 
 _SEQUENCES = (list, tuple)
@@ -119,15 +100,27 @@ def _row_cells(i: int, row: Iterable[float]) -> list[float]:
 
 
 def _check_cells(rows: list[Sequence[float]]) -> None:
-    """Raise ``DispatchError`` naming the first cell that is text or that ``float()`` rejects."""
+    """Raise ``DispatchError`` naming the first failing row or cell in row-major
+    order, if any: a row of the wrong length, or a cell that is text, that
+    ``float()`` rejects, or whose float is not finite or is negative."""
+    if not rows or not rows[0]:
+        raise DispatchError("cost matrix must have at least one row and one column")
+    width = len(rows[0])
     for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DispatchError(f"cost matrix row {i} has {len(row)} entries, expected {width}")
         for j, cell in enumerate(row):
             try:
                 if isinstance(cell, (str, bytes, bytearray)):
                     raise TypeError
-                float(cell)
+                value = float(cell)
+            except OverflowError:
+                raise DispatchError("cost matrix entry is not finite (an integer too large for a float)") from None
             except (TypeError, ValueError):
                 raise DispatchError(f"cost matrix entry ({i}, {j}) is not a number: {cell!r}") from None
+            if not 0.0 <= value < math.inf:  # NaN, infinities and negatives
+                problem = "negative" if math.isfinite(value) else "not finite"
+                raise DispatchError(f"cost matrix entry ({i}, {j}) is {problem}")
 
 
 @record
@@ -201,8 +194,7 @@ def _exact_costs(entries: tuple[tuple[float, ...], ...]) -> list[Sequence[float]
     """Costs on which the solve adds and compares exactly: the float rows
     as they are if all are integral floats and C * (n + 2) < 2**53, for C
     the largest entry and n = max(rows, cols); else the entries times one
-    common power of two, as Python ints (an integral x gives ``int(x)``;
-    the int and bool entries a directly built matrix may hold go here too).
+    common power of two, as Python ints (an integral x gives ``int(x)``).
 
     The greedy start of ``_shortest_paths`` moves no dual, and each of its
     searches raises the matched cost by at least its ``low`` and at most C
@@ -213,11 +205,8 @@ def _exact_costs(entries: tuple[tuple[float, ...], ...]) -> list[Sequence[float]
     matrix over the bound.
     """
     n = max(len(entries), len(entries[0]))
-    try:
-        if max(map(max, entries)) * (n + 2) < 2**53 and all(map(float.is_integer, itertools.chain(*entries))):
-            return [*entries]
-    except TypeError:  # an int or bool entry, which the ratio pass below takes
-        pass
+    if max(map(max, entries)) * (n + 2) < 2**53 and all(map(float.is_integer, itertools.chain(*entries))):
+        return [*entries]
     ratios = [[x.as_integer_ratio() for x in row] for row in entries]
     scale = max(q for row in ratios for _, q in row)
     return [[p * (scale // q) for p, q in row] for row in ratios]

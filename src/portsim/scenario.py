@@ -39,6 +39,7 @@ and are converted at the boundary), emissions in kg CO2, money in USD.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -160,6 +161,9 @@ class RenewableSupplySpec:
         if new_green_energy is None:
             new_green_energy = renewable_energy
         return cls(float(renewable_energy), source, float(new_green_energy))
+
+    def __getstate__(self) -> dict[str, Any]:  # a copy leaves out what the parse modeled
+        return {key: value for key, value in self.__dict__.items() if key != _DERIVED_FROM}
 
 
 @record
@@ -611,19 +615,24 @@ def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
 
 
 def _parse_matrix(raw: Any) -> CostMatrix | None:
+    """A file's ``dispatch_matrix``, checked by ``CostMatrix``. Only a failure, or a cell that is
+    no int or float (``float()`` takes ``true``), walks the cells, so that the first cell
+    ``_number`` rejects is named before any shape or sign error that ``CostMatrix`` finds."""
     if raw is None:
         return None
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise ValidationError("dispatch_matrix", "dispatch_matrix must be a list of rows")
-    for i, row in enumerate(raw):
-        for cell in row:
-            if (type(cell) is not float and type(cell) is not int) or not _MIN <= cell <= _MAX:
-                for j, value in enumerate(row):  # name the first cell that _number rejects
-                    _number(value, f"dispatch_matrix[{i}][{j}]")
     try:
-        return CostMatrix.from_rows(raw)
+        matrix = CostMatrix.from_rows(raw)
     except DispatchError as exc:
-        raise ValidationError("dispatch_matrix", f"dispatch_matrix: {exc}") from None
+        matrix, problem = None, f"dispatch_matrix: {exc}"
+    if matrix is None or not {float, int}.issuperset(map(type, itertools.chain.from_iterable(raw))):
+        for i, row in enumerate(raw):
+            for j, value in enumerate(row):
+                _number(value, f"dispatch_matrix[{i}][{j}]")
+    if matrix is None:  # a shape or sign error
+        raise ValidationError("dispatch_matrix", problem)
+    return matrix
 
 
 def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:

@@ -181,6 +181,13 @@ def test_first_failing_cell_decides_the_error():
         CostMatrix.from_rows([[1, "x", 10**400]])
     with pytest.raises(DispatchError, match=r"^cost matrix entry is not finite"):
         CostMatrix.from_rows([[1, 10**400, "x"]])
+    # text that float() parses comes first too, and so does a bad value before a bad type
+    with pytest.raises(DispatchError, match=r"^cost matrix entry \(0, 1\) is not a number: '1'$"):
+        CostMatrix.from_rows([[1, "1", 10**400]])
+    with pytest.raises(DispatchError, match=r"^cost matrix entry \(0, 0\) is negative$"):
+        CostMatrix.from_rows([[-1, 2], ["x", 3]])
+    with pytest.raises(DispatchError, match=r"^cost matrix row 1 has 1 entries, expected 2$"):
+        CostMatrix.from_rows([[1, 2], [None], [math.nan, 3]])
 
 
 def test_rows_of_any_iterable_are_accepted():
@@ -596,7 +603,7 @@ def test_load_cost_matrix_rejects_a_file_that_is_not_utf8(tmp_path):
     st.booleans(),
 )
 def test_int_entries_solve_like_their_floats(rows, mixed):
-    # a matrix built directly may hold ints and bools, which from_rows turns into floats
+    # a matrix built directly from ints and bools keeps their floats, as from_rows does
     if mixed:
         rows[0][0] = float(rows[0][0])
     direct = solve_assignment(CostMatrix(entries=tuple(map(tuple, rows))))
@@ -608,3 +615,60 @@ def test_int_entries_that_stopped_the_solve_are_solved():
     assert solve_assignment(CostMatrix(entries=((1, 2), (3, 0)))) == Assignment((0, 1), 1.0)
     assert solve_assignment(CostMatrix(entries=((1.5, True),))) == Assignment((1,), 1.0)
     assert solve_assignment(CostMatrix(entries=((1.0, 2),))) == Assignment((0,), 1.0)
+
+
+def test_direct_construction_checks_and_converts_cells():
+    import dataclasses
+
+    with pytest.raises(DispatchError, match=r"^cost matrix entry is not finite \(an integer too large for a float\)$"):
+        CostMatrix(entries=((10**400, 1),))
+    with pytest.raises(DispatchError, match=r"^cost matrix entry \(0, 0\) is not a number: '1'$"):
+        CostMatrix(entries=(("1", 2.0),))
+    with pytest.raises(DispatchError, match=r"^cost matrix row 1 is text, not a sequence of numbers$"):
+        CostMatrix(entries=([1.0], "2"))
+    matrix = CostMatrix(entries=[[1.0, 2], (True, 0)])
+    assert matrix.entries == ((1.0, 2.0), (1.0, 0.0))
+    assert {type(x) for row in matrix.entries for x in row} == {float}
+    assert hash(matrix) == hash(CostMatrix.from_rows([[1, 2.0], [1, 0]]))
+    assert dataclasses.replace(matrix, entries=[[2, 1]]).entries == ((2.0, 1.0),)
+
+
+def _accepted(rows):
+    """Whether a matrix of these rows is valid, cell by cell."""
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        return False
+    for cell in (cell for row in rows for cell in row):
+        if isinstance(cell, (str, bytes)):
+            return False
+        try:
+            if not 0.0 <= float(cell) < math.inf:
+                return False
+        except (TypeError, ValueError, OverflowError):
+            return False
+    return True
+
+
+ANY_CELL = st.one_of(
+    st.integers(0, 100), st.floats(0, 1e6), st.booleans(), st.decimals(0, 100, places=2),
+    st.sampled_from(
+        ["1", "x", b"2", None, math.nan, math.inf, -math.inf, -1, -0.5, -0.0, 10**400, -10**400, 1e308]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(ANY_CELL, max_size=4), max_size=4))
+@example([[1, "1", 10**400]])
+@example([[1e308, 1e308], [1e308, 1e308]])
+def test_constructor_and_from_rows_accept_the_same_rows(rows):
+    outcomes = []
+    for build in (lambda: CostMatrix(entries=rows), lambda: CostMatrix.from_rows(rows)):
+        try:
+            outcomes.append(build().entries)
+        except DispatchError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if _accepted(rows):
+        assert outcomes[0] == tuple(tuple(float(cell) for cell in row) for row in rows)
+    else:
+        assert isinstance(outcomes[0], str)

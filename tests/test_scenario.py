@@ -258,6 +258,31 @@ def test_dispatch_matrix_ragged_rejected():
         scenario_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    ("matrix", "field", "message"),
+    [
+        # a cell that is not a finite JSON number is named before any shape or sign error
+        ([[1.0, True], [3.0]], "dispatch_matrix[0][1]", "must be a number"),
+        ([[1.0, 2.0], [3.0], [True, 1]], "dispatch_matrix[2][0]", "must be a number"),
+        ([[-1.0, 2.0], [math.nan, 1.0]], "dispatch_matrix[1][0]", "must be finite, got nan"),
+        ([[1.0, 2.0], [math.inf, None]], "dispatch_matrix[1][0]", "must be finite, got inf"),
+        ([[], [True]], "dispatch_matrix[1][0]", "must be a number"),
+        # and the first of them in row-major order decides
+        ([[1, 10**400], ["x", 2]], "dispatch_matrix[0][1]", "must be finite, got an integer too large for a float"),
+        ([["x", 10**400]], "dispatch_matrix[0][0]", "must be a number"),
+        # shape and sign errors come row by row
+        ([[1.0, -2.0], [3.0]], "dispatch_matrix", "cost matrix entry (0, 1) is negative"),
+        ([[1.0], [3.0, -1.0]], "dispatch_matrix", "cost matrix row 1 has 2 entries, expected 1"),
+        ([[], [1.0]], "dispatch_matrix", "cost matrix must have at least one row and one column"),
+    ],
+)
+def test_dispatch_matrix_with_two_defects_names_the_first(matrix, field, message):
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(make_scenario_dict(dispatch_matrix=matrix))
+    expected = f"dispatch_matrix: {message}" if field == "dispatch_matrix" else f"{field} {message}"
+    assert (excinfo.value.field, str(excinfo.value)) == (field, expected)
+
+
 def test_notes_must_be_strings():
     raw = make_scenario_dict(notes=[42])
     with pytest.raises(ValidationError, match="notes"):
@@ -691,6 +716,23 @@ def test_new_assets_under_a_derived_supply_are_still_checked():
             f"renewables.renewable_energy is {stated:.12g} but the PV/wind assets model "
             f"{modeled:.12g} MWh/yr",
         )
+
+
+def test_a_derived_supply_pickles_and_copies_without_its_assets():
+    from portsim import serialize_report
+
+    scenario = scenario_from_dict(copy.deepcopy(DERIVED_SUPPLY))
+    supply = scenario.renewables
+    kept = supply.__dict__.keys() - {scenario_module._DERIVED_FROM}
+    assert scenario_module._DERIVED_FROM in supply.__dict__ and scenario_module._IN_RANGE in kept
+    assert b"PvArraySpec" not in pickle.dumps(supply)
+    for twin in (pickle.loads(pickle.dumps(supply)), copy.deepcopy(supply)):
+        assert twin == supply and twin.__dict__.keys() == kept
+    # a Scenario still carries what its check modeled, and reports the same
+    report = serialize_report(run_scenario(scenario), "json")
+    for twin in (pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario)):
+        assert twin._generation == scenario._generation is not None
+        assert serialize_report(run_scenario(twin), "json") == report
 
 
 def records_of(scenario):
