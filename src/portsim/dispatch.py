@@ -48,9 +48,10 @@ class CostMatrix:
     """Dense rectangular matrix of non-negative finite costs (km or generic).
 
     Construction takes any iterable of rows of numbers and keeps them as a
-    tuple of float tuples, so every instance is solvable. An empty or ragged
-    matrix, or a cell that is text, not a number, not finite or negative,
-    raises ``DispatchError`` naming the first such row or cell, row by row.
+    tuple of float tuples, so every instance is solvable. Entries that are not
+    iterable, an empty or ragged matrix, or a cell that is text, not a number,
+    not finite or negative, raises ``DispatchError`` naming the first such row
+    or cell, row by row.
     """
 
     entries: tuple[tuple[float, ...], ...]
@@ -59,8 +60,11 @@ class CostMatrix:
         # Rows other than lists and tuples are copied, so a failed check can name the cell. Float
         # rows are built from lists: a tuple grown from a generator is resized to fit, and resized
         # tuples pile up on CPython's tuple free lists (0.75 MB after a few hundred fleet matrices).
-        rows = [row if row.__class__ in _SEQUENCES else _row_cells(i, row)
-                for i, row in enumerate(self.entries)]
+        try:
+            numbered = enumerate(self.entries)
+        except TypeError:
+            raise DispatchError("cost matrix is not a sequence of rows") from None
+        rows = [row if row.__class__ in _SEQUENCES else _row_cells(i, row) for i, row in numbered]
         try:
             entries = tuple([tuple([*map(float, row)]) for row in rows])
             # ``min`` of the cells raises on text (float() parses it) beside any number and finds

@@ -4,11 +4,13 @@ A scenario is the complete declarative description of one port case:
 throughput, sector split, emission factors, renewable supply, generation
 assets, costs, an optional AGV dispatch matrix and objective weights.
 Everything is immutable after construction, and a ``Scenario`` checks
-every invariant in ``__post_init__``: an invalid one cannot be built,
-whether it comes from a file, from ``Scenario(...)`` or from a
-``replace`` of one of its fields. The first violated field is reported
-by its dotted path (``pv_arrays[2].module_efficiency``), in field
-declaration order.
+every invariant in ``__post_init__``, structure too (each record's class,
+the tuples, the matrix type): an invalid one cannot be built, whether it
+comes from a file, from ``Scenario(...)`` or from a ``replace`` of one of
+its fields. The first violated field is reported by its dotted path
+(``pv_arrays[2].module_efficiency``). The parse checks only what JSON
+alone decides (keys, numbers, finiteness, the cells of a matrix) and
+leaves every other invariant to that check.
 
 Each record's numeric fields are declared once, in a ``_Table`` of their
 ranges ``(low, high, wording)`` and defaults: required, a constant, or
@@ -21,13 +23,13 @@ and each of its values is a float in its range. The record built from it
 is marked as in range if the fields ``create`` derives are in range too;
 the mark is kept outside the fields (no comparison, hash, repr,
 ``replace`` or ``asdict`` sees it), and the Scenario's check passes a
-marked record without walking it again. Any miss takes the exact path,
-which checks keys, types and finiteness and leaves ranges to the check,
-so a document's first error is the same on either path. A supply the
-file leaves to the assets is modeled once: the check reuses the parse's
-result while the Scenario holds the same asset tuples. Parsing, the range
-check, the allowed and required keys and ``create``'s defaults all read
-the same tables.
+marked record of the table's class without walking it again. Any miss
+takes the exact path, which checks keys, types and finiteness and leaves
+ranges to the check, so a document's first error is the same on either
+path. A supply the file leaves to the assets is modeled once: the check
+reuses the parse's result while the Scenario holds the same asset tuples.
+Parsing, the range check, the allowed and required keys and ``create``'s
+defaults all read the same tables.
 
 Scenario files are JSON with keys named exactly like the record fields
 below. Unknown keys are rejected rather than ignored, so a typo in a file
@@ -294,16 +296,17 @@ _REQUIRED = "required"  # the default of a number that a file must give
 
 
 class _Table:
-    """One record's numeric fields, in declaration order. Each is given as its range, if a
-    file must give it (or the record declares its default), or as ``(range, default)``, the
-    default being a constant, or None for a value ``create`` derives from the other fields.
-    ``rows`` maps each to ``(name, low, high, wording, default)``; ``fields`` holds every key a
-    file may give, ``required`` (set-like, in order) the numbers it must give, and ``defaults``
-    the others' defaults in order, as ``create`` takes them. ``limits`` maps each number to
-    ``(low, high)``, and ``derived`` holds ``(name, low, high)`` of those ``create`` derives."""
+    """A record class ``cls``, the only class the check passes, and its numeric fields in
+    declaration order. Each is given as its range, if a file must give it (or the record
+    declares its default), or as ``(range, default)``, the default being a constant, or None
+    for a value ``create`` derives from the other fields. ``rows`` maps each to ``(name, low,
+    high, wording, default)``; ``fields`` holds every key a file may give, ``required``
+    (set-like, in order) the numbers it must give, and ``defaults`` the others' defaults in
+    order, as ``create`` takes them. ``limits`` maps each number to ``(low, high)``, and
+    ``derived`` holds ``(name, low, high)`` of those ``create`` derives."""
 
     def __init__(self, cls: type, **rows: Any) -> None:
-        declared, self.rows = vars(cls), {}
+        self.cls, declared, self.rows = cls, vars(cls), {}
         for name, row in rows.items():
             limits, default = row if type(row[0]) is tuple else (row, declared.get(name, _REQUIRED))
             self.rows[name] = (name, *limits, default)
@@ -383,6 +386,9 @@ def _in_range(built: Any, table: _Table) -> Any:
 
 
 def _check_record(record: Any, table: _Table, where: str, index: int | None = None) -> None:
+    if record.__class__ is not table.cls:  # tested before the mark, which any record may carry
+        path = where if index is None else f"{where}[{index}]"
+        raise ValidationError(path, f"{path} must be of type {table.cls.__name__}")
     values = record.__dict__
     if _IN_RANGE in values:
         return
@@ -391,6 +397,12 @@ def _check_record(record: Any, table: _Table, where: str, index: int | None = No
         if type(value) is not float or not low <= value <= high:
             path = where if index is None else f"{where}[{index}]"
             _out_of_range(value, f"{path}.{name}", low, high, bounds)
+
+
+def _items(value: Any, where: str) -> Iterable[tuple[int, Any]]:
+    if value.__class__ is not tuple:
+        raise ValidationError(where, f"{where} must be a tuple")
+    return enumerate(value)
 
 
 def _modeled(
@@ -431,12 +443,13 @@ def _check_scenario(scenario: Scenario) -> None:
     if not isinstance(r.source, RenewableSource):
         raise ValidationError(
             "renewables.source",
-            f"renewables.source must be one of {[m.value for m in RenewableSource]}",
+            f"renewables.source must be one of {[m.value for m in RenewableSource]}, "
+            f"got {r.source!r}",
         )
 
-    for i, pv in enumerate(scenario.pv_arrays):
+    for i, pv in _items(scenario.pv_arrays, "pv_arrays"):
         _check_record(pv, _PV, "pv_arrays", i)
-    for i, wt in enumerate(scenario.wind_turbines):
+    for i, wt in _items(scenario.wind_turbines, "wind_turbines"):
         _check_record(wt, _WIND, "wind_turbines", i)
 
     if r.source is RenewableSource.FROM_PV_WIND_MODELS:
@@ -459,15 +472,18 @@ def _check_scenario(scenario: Scenario) -> None:
 
     _check_record(scenario.costs, _COSTS, "costs")
 
-    w = scenario.objective_weights
-    _check_record(w, _WEIGHTS, "objective_weights")
-    if not isinstance(w.renewables_reduce_score, bool):
+    if scenario.dispatch_matrix is not None and scenario.dispatch_matrix.__class__ is not CostMatrix:
+        raise ValidationError("dispatch_matrix", "dispatch_matrix must be of type CostMatrix or None")
+
+    w = scenario.objective_weights  # the flag is checked before the ranges
+    if w.__class__ is ObjectiveWeights and not isinstance(w.renewables_reduce_score, bool):
         raise ValidationError(
             "objective_weights.renewables_reduce_score",
             "objective_weights.renewables_reduce_score must be a boolean",
         )
+    _check_record(w, _WEIGHTS, "objective_weights")
 
-    for i, note in enumerate(scenario.notes):
+    for i, note in _items(scenario.notes, "notes"):
         if not isinstance(note, str):
             raise ValidationError(f"notes[{i}]", f"notes[{i}] must be a string")
 
@@ -563,15 +579,8 @@ def _parse_renewables(
     wind_turbines: tuple[WindTurbineSpec, ...],
 ) -> RenewableSupplySpec:
     _check_keys(raw, _SUPPLY.fields, ("source",), "renewables")
-    source_raw = raw["source"]
-    try:
-        source = RenewableSource(source_raw)
-    except ValueError:
-        raise ValidationError(
-            "renewables.source",
-            f"renewables.source must be one of {[m.value for m in RenewableSource]}, "
-            f"got {source_raw!r}",
-        ) from None
+    # the member named, or the value as it is, for the Scenario's check to reject
+    source = next((m for m in RenewableSource if m == raw["source"]), raw["source"])
     generation = None
     if "renewable_energy" in raw:
         renewable_energy = _number(raw["renewable_energy"], "renewables.renewable_energy")
@@ -602,13 +611,7 @@ def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
 
     def build(**kwargs: float) -> ObjectiveWeights:  # called once the numbers are read
         if "renewables_reduce_score" in raw:
-            flag = raw["renewables_reduce_score"]
-            if not isinstance(flag, bool):
-                raise ValidationError(
-                    "objective_weights.renewables_reduce_score",
-                    "objective_weights.renewables_reduce_score must be a boolean",
-                )
-            kwargs["renewables_reduce_score"] = flag
+            kwargs["renewables_reduce_score"] = raw["renewables_reduce_score"]
         return ObjectiveWeights(**kwargs)
 
     return _parse_record(numbers, build, _WEIGHTS, "objective_weights")
@@ -638,25 +641,18 @@ def _parse_matrix(raw: Any) -> CostMatrix | None:
 def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     """Build a checked Scenario from a parsed JSON object.
 
-    Unknown keys, missing keys and values of the wrong type are rejected
-    while parsing; every other invariant is checked as the Scenario is
-    built. Either way a :class:`ValidationError` names the field.
+    Unknown or missing keys, numbers that are not finite JSON numbers, and
+    assets or a matrix that are not JSON arrays are rejected while parsing;
+    every other invariant is checked as the Scenario is built. Either way a
+    :class:`ValidationError` names the field.
     """
     _check_keys(raw, _SCENARIO_KEYS, _SCENARIO_REQUIRED, "scenario")
-
-    name = raw["name"]
-    if not isinstance(name, str):
-        raise ValidationError("name", "name must be a string")
-
     pv_arrays = _parse_assets(raw, "pv_arrays", PvArraySpec.create, _PV)
     wind_turbines = _parse_assets(raw, "wind_turbines", WindTurbineSpec.create, _WIND)
 
-    notes_raw = raw.get("notes", [])
-    if not isinstance(notes_raw, list) or not all(isinstance(n, str) for n in notes_raw):
-        raise ValidationError("notes", "notes must be a list of strings")
-
+    notes = raw.get("notes", ())
     return Scenario(
-        name=name,
+        name=raw["name"],
         throughput=_parse_record(raw["throughput"], ThroughputSpec, _THROUGHPUT, "throughput"),
         shares=_parse_record(raw["shares"], SectorShares, _SHARES, "shares"),
         factors=_parse_record(raw["factors"], EmissionFactorSet, _FACTORS, "factors"),
@@ -666,7 +662,7 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
         wind_turbines=wind_turbines,
         dispatch_matrix=_parse_matrix(raw.get("dispatch_matrix")),
         objective_weights=_parse_weights(raw.get("objective_weights", {})),
-        notes=tuple(notes_raw),
+        notes=tuple(notes) if type(notes) is list else notes,  # the check rejects a non-tuple
     )
 
 

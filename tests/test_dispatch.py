@@ -157,6 +157,9 @@ def test_numbers_that_sum_refuses_beside_a_float_are_accepted():
 def test_matrix_given_as_one_string_is_named():
     with pytest.raises(DispatchError, match=r"^cost matrix row 0 is text"):
         CostMatrix.from_rows("12")
+    for rows in (5, None):  # nor is a matrix that is not iterable at all
+        with pytest.raises(DispatchError, match=r"^cost matrix is not a sequence of rows$"):
+            CostMatrix(entries=rows)
 
 
 def test_row_that_is_not_iterable_is_named():

@@ -433,6 +433,53 @@ HAND_BUILT_DEFECTS = [
         "factors.buildings_factor",
         "factors.buildings_factor must be finite, got nan",
     ),
+    # Structure: a record of the wrong class, whether the parse marked it in range or not,
+    # or a value that is no record, tuple or matrix at all
+    (
+        lambda s: replace(s, pv_arrays=(s.shares,)),
+        "pv_arrays[0]",
+        "pv_arrays[0] must be of type PvArraySpec",
+    ),
+    (
+        lambda s: replace(s, throughput=SectorShares(0.5, 0.25, 0.25)),
+        "throughput",
+        "throughput must be of type ThroughputSpec",
+    ),
+    (
+        lambda s: replace(s, renewables=s.costs),
+        "renewables",
+        "renewables must be of type RenewableSupplySpec",
+    ),
+    (
+        lambda s: replace(s, factors="x"),
+        "factors",
+        "factors must be of type EmissionFactorSet",
+    ),
+    (
+        lambda s: with_weights(s, None),
+        "objective_weights",
+        "objective_weights must be of type ObjectiveWeights",
+    ),
+    (
+        lambda s: replace(s, notes="abc"),
+        "notes",
+        "notes must be a tuple",
+    ),
+    (
+        lambda s: replace(s, pv_arrays=[]),
+        "pv_arrays",
+        "pv_arrays must be a tuple",
+    ),
+    (
+        lambda s: replace(s, dispatch_matrix=[[1.0, 2.0]]),
+        "dispatch_matrix",
+        "dispatch_matrix must be of type CostMatrix or None",
+    ),
+    (
+        lambda s: replace(s, name=["x"]),
+        "name",
+        "name must be a non-empty string",
+    ),
 ]
 
 
@@ -442,6 +489,29 @@ def test_invalid_scenario_cannot_be_built(minimal_scenario, build, field, messag
         build(minimal_scenario)
     assert excinfo.value.field == field
     assert str(excinfo.value) == message
+
+
+YANGSHAN = get_preset("yangshan-phase4")
+#: Each field's value in the preset (its records marked in range by the parse), an unmarked
+#: record, one asset of each kind, and atoms
+PARTS = st.sampled_from(
+    [getattr(YANGSHAN, name) for name in Scenario.__match_args__]
+    + [replace(YANGSHAN.shares), PvArraySpec.create(panel_area=10.0, module_efficiency=0.2),
+       WindTurbineSpec.create(swept_area=10.0, wind_speed=5.0, operating_hours=10.0)]
+    + [None, False, 1, 2.5, math.nan, "", "port", b"port", RenewableSource.EXPLICIT]
+)
+FIELD_VALUES = PARTS | st.lists(PARTS, max_size=3) | st.lists(PARTS, max_size=3).map(tuple)
+
+
+@given(st.sampled_from(Scenario.__match_args__), FIELD_VALUES)
+def test_any_field_value_builds_a_runnable_scenario_or_is_named(name, value):
+    try:
+        scenario = replace(YANGSHAN, **{name: value})
+    except ValidationError as exc:
+        assert exc.field.startswith(name)
+        return
+    assert hash(scenario) == hash(replace(scenario))
+    run_scenario(scenario)
 
 
 #: Every numeric field of FULL_SCENARIO: (path, record key, index, name, check).
@@ -882,8 +952,9 @@ def test_one_walk_read_matches_the_exact_path(case):
 
 PV = {"panel_area": 100.0, "module_efficiency": 0.2}
 
-#: Documents with two defects, and the error the program gave for each before records
-#: were read in one walk: key and type errors of every record come before any range error.
+#: Documents with two defects, and the error found first. The first two are as before
+#: records were read in one walk: key and type errors of every record come before any range
+#: error. The JSON shape of a list is found before the Scenario's checks of a name or notes.
 TWO_DEFECTS = [
     (
         make_scenario_dict(
@@ -900,10 +971,29 @@ TWO_DEFECTS = [
         "pv_arrays[0].panel_area",
         "pv_arrays[0].panel_area must be a number",
     ),
+    (
+        make_scenario_dict(name=5, pv_arrays={"panel_area": 1.0}),
+        "pv_arrays",
+        "pv_arrays must be a list",
+    ),
+    (
+        make_scenario_dict(notes=[42], dispatch_matrix=[1.0, 2.0]),
+        "dispatch_matrix",
+        "dispatch_matrix must be a list of rows",
+    ),
+    (
+        make_scenario_dict(renewables={"renewable_energy": 1.0, "source": 1}, notes=[42]),
+        "renewables.source",
+        "renewables.source must be one of ['explicit', 'from_pv_wind_models'], got 1",
+    ),
 ]
 
 
-@pytest.mark.parametrize("raw, field, message", TWO_DEFECTS, ids=["range-and-key", "type-and-sum"])
+@pytest.mark.parametrize(
+    "raw, field, message",
+    TWO_DEFECTS,
+    ids=["range-and-key", "type-and-sum", "assets-and-name", "matrix-and-notes", "source-and-notes"],
+)
 def test_the_first_of_two_defects_is_reported(raw, field, message):
     with pytest.raises(ValidationError) as excinfo:
         scenario_from_dict(raw)
