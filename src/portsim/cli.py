@@ -215,23 +215,28 @@ def main(argv: Sequence[str] | None = None) -> int:
 def entrypoint() -> None:
     """Run ``main`` as the whole process and exit with its code.
 
-    What is alive before and after ``main`` lives until exit, so ``gc.freeze``
-    moves it where no collection scans it: neither the passes that imports set
-    off nor the full collection at shutdown, which runs even with the collector
-    disabled. ``main`` itself leaves the collector as it found it.
+    ``gc.freeze`` keeps what is alive before ``main`` out of the collections
+    that imports set off; ``main`` leaves the collector as it found it. The exit
+    runs the atexit handlers and flushes stdout and stderr, as the interpreter's
+    would, then ``os._exit`` skips the teardown of the modules, which frees only
+    what the exit frees anyway; ``_emit`` has closed any ``--output`` file. A
+    failed flush is ignored: ``main`` has reported it, or its code does. Help and
+    usage errors exit by ``SystemExit``; any other exception leaves as usual.
     """
+    import atexit
     import gc
     gc.freeze()
     try:
-        raise SystemExit(main())
-    finally:
-        gc.freeze()
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                try:
-                    stream.flush()
-                except OSError:  # bytes whose failed write main has met; exit would retry them
-                    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    atexit._run_exitfuncs()
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -157,11 +157,13 @@ class RenewableSupplySpec:
     def create(
         cls,
         renewable_energy: float,
-        source: RenewableSource = RenewableSource.EXPLICIT,
+        source: RenewableSource | str = RenewableSource.EXPLICIT,
         new_green_energy: float | None = None,
     ) -> "RenewableSupplySpec":
         if new_green_energy is None:
             new_green_energy = renewable_energy
+        # the member a str names, or the value as it is, for the Scenario's check to reject
+        source = next((m for m in RenewableSource if m == source), source)
         return cls(float(renewable_energy), source, float(new_green_energy))
 
     def __getstate__(self) -> dict[str, Any]:  # a copy leaves out what the parse modeled
@@ -579,12 +581,10 @@ def _parse_renewables(
     wind_turbines: tuple[WindTurbineSpec, ...],
 ) -> RenewableSupplySpec:
     _check_keys(raw, _SUPPLY.fields, ("source",), "renewables")
-    # the member named, or the value as it is, for the Scenario's check to reject
-    source = next((m for m in RenewableSource if m == raw["source"]), raw["source"])
     generation = None
     if "renewable_energy" in raw:
         renewable_energy = _number(raw["renewable_energy"], "renewables.renewable_energy")
-    elif source is RenewableSource.FROM_PV_WIND_MODELS:
+    elif raw["source"] == RenewableSource.FROM_PV_WIND_MODELS:
         # Derive the supply from the scenario's own generation assets.
         generation = _modeled(pv_arrays, wind_turbines)
         renewable_energy = generation.total_annual_mwh
@@ -597,7 +597,7 @@ def _parse_renewables(
     new_green = None
     if "new_green_energy" in raw:
         new_green = _number(raw["new_green_energy"], "renewables.new_green_energy")
-    supply = _in_range(RenewableSupplySpec.create(renewable_energy, source, new_green), _SUPPLY)
+    supply = _in_range(RenewableSupplySpec.create(renewable_energy, raw["source"], new_green), _SUPPLY)
     if generation is not None:
         supply.__dict__[_DERIVED_FROM] = (pv_arrays, wind_turbines, generation)
     return supply

@@ -184,15 +184,14 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, args, unwanted):
     (tmp_path / "grid.csv").write_text("420,350,450\n450,400,280\n420,360,390\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
     code = (
-        f"import runpy, sys; sys.path.insert(0, {src!r}); sys.argv = ['portsim', *{args!r}]\n"
-        "try:\n    runpy.run_module('portsim.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n    code = exc.code\n"
-        f"print(code, sorted({unwanted!r} & set(sys.modules)))"
+        f"import atexit, runpy, sys; sys.path.insert(0, {src!r}); sys.argv = ['portsim', *{args!r}]\n"
+        f"atexit.register(lambda: print(sorted({unwanted!r} & set(sys.modules))))\n"
+        "runpy.run_module('portsim.cli', run_name='__main__')"
     )
     proc = subprocess.run(
         [sys.executable, "-E", "-S", "-c", code], cwd=tmp_path, capture_output=True, text=True
     )
-    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "[]"), proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -208,19 +207,18 @@ def test_a_cold_command_compiles_no_generated_source(tmp_path, args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
     unwanted = {"inspect", "dataclasses", "encodings.utf_8_sig"}
     code = (
-        "import runpy, sys\n"
+        "import atexit, runpy, sys\n"
         "generated = []\n"
         "sys.addaudithook(lambda event, args: event == 'compile' and args[1] == '<string>'"
         " and generated.append(args[0]))\n"
         f"sys.path.insert(0, {src!r}); sys.argv = ['portsim', *{args!r}]\n"
-        "try:\n    runpy.run_module('portsim.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n    code = exc.code\n"
-        f"print(code, len(generated), sorted({unwanted!r} & set(sys.modules)))"
+        f"atexit.register(lambda: print(len(generated), sorted({unwanted!r} & set(sys.modules))))\n"
+        "runpy.run_module('portsim.cli', run_name='__main__')"
     )
     proc = subprocess.run(
         [sys.executable, "-E", "-S", "-c", code], cwd=tmp_path, capture_output=True, text=True
     )
-    assert proc.stdout.splitlines()[-1] == "0 0 []", proc.stderr
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "0 []"), proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -482,6 +480,17 @@ def test_a_cold_command_freezes_and_says_what_main_says(tmp_path, monkeypatch, c
     assert run_main(args) == code
     captured = capsysbinary.readouterr()
     assert (proc.returncode, proc.stdout, stderr) == (code, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("args", [["run", "yangshan-phase4"], ["dispatch", "grid.csv"]])
+def test_a_cold_command_writes_its_output_file_whole(tmp_path, monkeypatch, capsysbinary, args):
+    # the exit flushes only stdout and stderr, so the --output file must be closed by then
+    write_inputs(tmp_path)
+    proc = cold_command(tmp_path, [*args, "--output", "report.out"])
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 0
+    assert (proc.returncode, proc.stdout) == (0, b""), proc.stderr
+    assert (tmp_path / "report.out").read_bytes() == capsysbinary.readouterr().out
 
 
 WRITING_COMMANDS = [

@@ -370,6 +370,10 @@ def test_validate_scenario_returns_its_argument(minimal_scenario):
 def test_int_values_are_accepted_when_built_by_hand(minimal_scenario):
     scenario = replace(minimal_scenario, throughput=ThroughputSpec(1000, 100))
     assert scenario.throughput.teu_per_year == 1000
+    # a str that names a source is that member
+    supply = RenewableSupplySpec.create(78750.0, "explicit", 75000.0)
+    scenario = replace(get_preset("yangshan-phase4"), renewables=supply)
+    assert scenario.renewables.source is RenewableSource.EXPLICIT
 
 
 HAND_BUILT_DEFECTS = [
