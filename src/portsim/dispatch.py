@@ -5,8 +5,10 @@ The solver finds an exact optimum in O(n^3) for n = max(rows, cols):
 * Sums and comparisons are exact, with no tolerance: integral costs whose
   duals stay below 2**53 are solved on their own floats, any others are
   scaled by one common power of two into Python ints (each float is
-  m * 2**e). ``total_cost`` is the ``math.fsum`` of the selected original
-  entries (``DispatchError`` if it passes the float range).
+  m * 2**e). Only int cells (JSON integers, int lists) are proved integral
+  once, as the matrix is built; the rest, CSV grids too, at each solve.
+  ``total_cost`` is the ``math.fsum`` of the selected original entries
+  (``DispatchError`` if it passes the float range).
 * A shortest-augmenting-path solve in the rectangular form of Crouse
   (2016) matches every row of the shorter side (a tall matrix is solved
   as its transpose) with no padding. It starts from the row minima, seats
@@ -51,7 +53,10 @@ class CostMatrix:
     tuple of float tuples, so every instance is solvable. Entries that are not
     iterable, an empty or ragged matrix, or a cell that is text, not a number,
     not finite or negative, raises ``DispatchError`` naming the first such row
-    or cell, row by row.
+    or cell, row by row. Int cells whose exact total T has T * (n + 2) < 2**53,
+    n = max(rows, cols), bound every cell by T and so prove the guard of
+    ``_exact_costs``: the matrix is marked and solved with no integrality
+    pass. The proof assumes that ``float()`` of an ``int`` is integral.
     """
 
     entries: tuple[tuple[float, ...], ...]
@@ -67,15 +72,19 @@ class CostMatrix:
         rows = [row if row.__class__ in _SEQUENCES else _row_cells(i, row) for i, row in numbered]
         try:
             entries = tuple([tuple([*map(float, row)]) for row in rows])
-            # ``min`` of the cells raises on text (float() parses it) beside any number and finds
-            # negatives; the float sum is not below inf for a NaN, an infinity or a total past range.
+            # ``min`` of the cells raises on text (float() parses it) beside any number and finds negatives;
+            # the given cells' sum is not below inf for a NaN, an infinity or a float total past range (an
+            # int's float() raises past it; other totals, as a Decimal's, are summed again as floats).
             valid = rows and {*map(len, rows)} == {len(rows[0])} and 0.0 <= min(map(min, rows))
-            valid = valid and sum(map(sum, entries)) < math.inf
+            total = sum(map(sum, rows))
+            valid = valid and (total if total.__class__ in (int, float) else sum(map(sum, entries))) < math.inf
         except (TypeError, ValueError, ArithmeticError):  # also an int past range, a Decimal NaN
             valid = False
         if not valid:  # raises for any cell float() rejected, so ``entries`` is set below; passes
             _check_cells(rows)  # valid cells that only sum past the range or that min cannot compare
         self.__dict__["entries"] = entries
+        if valid and total.__class__ is int and total * (max(len(rows), len(rows[0])) + 2) < 2**53:
+            self.__dict__[_INTEGRAL] = True
 
     @property
     def n_rows(self) -> int:
@@ -92,6 +101,7 @@ class CostMatrix:
 
 
 _SEQUENCES = (list, tuple)
+_INTEGRAL = "_integral"  # the mark, outside the fields: no ==, hash, repr, replace or asdict sees it
 
 
 def _row_cells(i: int, row: Iterable[float]) -> list[float]:
@@ -152,7 +162,7 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
     """
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     n = max(n_rows, n_cols)
-    cost = _exact_costs(matrix.entries)
+    cost = matrix.entries if _INTEGRAL in matrix.__dict__ else _exact_costs(matrix.entries)
     tall = n_cols < n_rows
     # Solve the short side; its free partners are indices, not zero lines.
     a4b, b4a, ua, vb = _shortest_paths([*zip(*cost)] if tall else cost, n)
@@ -205,8 +215,8 @@ def _exact_costs(entries: tuple[tuple[float, ...], ...]) -> list[Sequence[float]
     (the new row can take a column the old optimum left free), so v >= -n*C,
     u <= (n+1)*C, and every ``dist`` and ``row[j] - u[i]`` stays within
     (n+2)*C < 2**53: float sums and comparisons of these integers are exact.
-    Rounding is monotonic, so the float product in the guard cannot pass a
-    matrix over the bound.
+    Rounding is monotonic, so the float guard passes no matrix over the bound.
+    A ``CostMatrix`` of int cells whose total bounds C is not passed here.
     """
     n = max(len(entries), len(entries[0]))
     if max(map(max, entries)) * (n + 2) < 2**53 and all(map(float.is_integer, itertools.chain(*entries))):
@@ -282,7 +292,7 @@ def _shortest_paths(
 
 
 def _tie_break(
-    cost: list[Sequence[float]], n: int, col4row: list[int], row4col: list[int], u: list[float], v: list[float]
+    cost: Sequence[Sequence[float]], n: int, col4row: list[int], row4col: list[int], u: list[float], v: list[float]
 ) -> None:
     """Turn the optimal matching ``col4row`` (inverse ``row4col``) into the
     lexicographically smallest optimal one, in place.

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,7 +103,9 @@ def test_negative_entries_rejected():
 
 
 @pytest.mark.parametrize(
-    ("value", "problem"), [(math.nan, "not finite"), (math.inf, "not finite"), (-0.5, "negative")]
+    ("value", "problem"),
+    # a Decimal past the float range sums to a finite Decimal with the int cells
+    [(math.nan, "not finite"), (math.inf, "not finite"), (Decimal("1e400"), "not finite"), (-0.5, "negative")],
 )
 def test_bad_entry_in_the_last_row_is_named(value, problem):
     with pytest.raises(DispatchError, match=rf"^cost matrix entry \(2, 1\) is {problem}$"):
@@ -609,9 +612,81 @@ def test_int_entries_solve_like_their_floats(rows, mixed):
     # a matrix built directly from ints and bools keeps their floats, as from_rows does
     if mixed:
         rows[0][0] = float(rows[0][0])
-    direct = solve_assignment(CostMatrix(entries=tuple(map(tuple, rows))))
-    converted = solve_assignment(CostMatrix.from_rows(rows))
-    assert direct == converted and repr(direct) == repr(converted)
+    direct_matrix = CostMatrix(entries=tuple(map(tuple, rows)))
+    converted_matrix = CostMatrix.from_rows(rows)
+    floats = solve_assignment(CostMatrix.from_rows([[float(x) for x in row] for row in rows]))
+    # all-int rows, far under the bound, skip the integrality pass; a float cell keeps it
+    assert _marked(direct_matrix) is _marked(converted_matrix) is (not mixed)
+    direct = solve_assignment(direct_matrix)
+    converted = solve_assignment(converted_matrix)
+    assert direct == converted == floats and repr(direct) == repr(converted) == repr(floats)
+
+
+def _marked(matrix):
+    return "_integral" in matrix.__dict__
+
+
+def _int_cells(rng, rows, cols, total):
+    """Int and bool cells, many of them tied, that sum to exactly ``total``."""
+    top = total // (rows * cols)
+    entries = [
+        [rng.choice((True, False, top, top, top - 1, rng.randint(0, top))) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    entries[-1][-1] += total - sum(map(sum, entries))
+    return entries
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (4, 4), (3, 6), (6, 3)])
+def test_integral_mark_is_set_for_int_totals_under_the_float_bound(shape):
+    from fractions import Fraction
+
+    rows, cols = shape
+    m = max(rows, cols) + 2
+    rng = random.Random(f"mark-{shape}")
+    under, at, over = (2**53 - 1) // m, -(-(2**53) // m), 2**60 // m
+    cases = [(_int_cells(rng, rows, cols, total), total == under) for total in (under, at, over)]
+    cases.append(([[True] * cols for _ in range(rows)], True))  # bool cells alone
+    tops = _int_cells(rng, rows, cols, under)
+    cases += [
+        ([[float(x) for x in row] for row in tops], False),
+        ([[Fraction(x) for x in row] for row in tops], False),
+        ([[Decimal(int(x)) for x in row] for row in tops], False),
+        ([[float(tops[0][0]), *tops[0][1:]], *tops[1:]], False),  # one mixed int/float row
+    ]
+    for cells, marked in cases:
+        for matrix in (CostMatrix.from_rows(cells), CostMatrix(entries=cells)):
+            assert _marked(matrix) is marked, (cells, marked)
+            best, mapping = enumerate_injections(matrix.entries)  # int cells past 2**53 are rounded
+            assert solve_assignment(matrix) == Assignment(mapping=mapping, total_cost=float(best))
+
+
+def test_integral_mark_cannot_be_seen():
+    import copy
+    import dataclasses
+    import pickle
+
+    from portsim import _record, scenario_from_dict, scenario_to_dict
+    from conftest import make_scenario_dict
+
+    ints = [[420, 350, 450], [450, 400, 280], [420, 360, 390]]
+    marked, plain = CostMatrix.from_rows(ints), CostMatrix.from_rows(PAPER_MATRIX)
+    assert _marked(marked) and not _marked(plain)
+    assert marked == plain and hash(marked) == hash(plain) and repr(marked) == repr(plain)
+    for asdict in (dataclasses.asdict, _record.asdict):
+        assert asdict(marked) == asdict(plain) and [*asdict(marked)] == ["entries"]
+    as_dicts = [
+        scenario_to_dict(scenario_from_dict(make_scenario_dict(dispatch_matrix=rows))) for rows in (ints, PAPER_MATRIX)
+    ]
+    assert as_dicts[0] == as_dicts[1]
+    for replace in (dataclasses.replace, _record.replace):
+        assert not _marked(replace(marked, entries=PAPER_MATRIX))  # the mark is worked out again
+        assert _marked(replace(plain, entries=ints))
+        assert replace(marked, entries=PAPER_MATRIX) == marked
+    solved = solve_assignment(marked)
+    for copied in (pickle.loads(pickle.dumps(marked)), copy.deepcopy(marked), copy.copy(marked)):
+        assert copied == marked and _marked(copied)
+        assert solve_assignment(copied) == solved == solve_assignment(plain)
 
 
 def test_int_entries_that_stopped_the_solve_are_solved():

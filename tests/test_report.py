@@ -157,6 +157,21 @@ def test_report_determinism(zero_scenario_dict):
         assert serialize_report(first, "csv") == serialize_report(second, "csv")
 
 
+def test_int_dispatch_matrix_gives_the_bytes_of_its_floats():
+    # JSON integers mark the matrix integral when it is built; the report cannot tell
+    from portsim import PRESETS
+
+    doc = json.loads(json.dumps(PRESETS["yangshan-phase4"]))
+    with_floats = scenario_from_dict(doc)
+    doc["dispatch_matrix"] = [[int(x) for x in row] for row in doc["dispatch_matrix"]]
+    with_ints = scenario_from_json(json.dumps(doc))
+    assert "_integral" in with_ints.dispatch_matrix.__dict__
+    assert "_integral" not in with_floats.dispatch_matrix.__dict__
+    for format in ("json", "csv"):
+        expected = serialize_report(run_scenario(with_floats), format)
+        assert serialize_report(run_scenario(with_ints), format) == expected
+
+
 def test_cross_consistency_as_serialized(yangshan_report):
     raw = json.loads(serialize_report(yangshan_report, "json"))
     emissions = raw["emissions"]
