@@ -26,8 +26,8 @@ the mark is kept outside the fields (no comparison, hash, repr,
 marked record of the table's class without walking it again. Any miss
 takes the exact path, which checks keys, types and finiteness and leaves
 ranges to the check, so a document's first error is the same on either
-path. A supply the file leaves to the assets is modeled once: the check
-reuses the parse's result while the Scenario holds the same asset tuples.
+path. A supply the file leaves to the assets is modeled by the parse, to
+fill it in, and again by the check, which compares and keeps the result.
 Parsing, the range check, the allowed and required keys and ``create``'s
 defaults all read the same tables.
 
@@ -165,9 +165,6 @@ class RenewableSupplySpec:
         # the member a str names, or the value as it is, for the Scenario's check to reject
         source = next((m for m in RenewableSource if m == source), source)
         return cls(float(renewable_energy), source, float(new_green_energy))
-
-    def __getstate__(self) -> dict[str, Any]:  # a copy leaves out what the parse modeled
-        return {key: value for key, value in self.__dict__.items() if key != _DERIVED_FROM}
 
 
 @record
@@ -455,12 +452,7 @@ def _check_scenario(scenario: Scenario) -> None:
         _check_record(wt, _WIND, "wind_turbines", i)
 
     if r.source is RenewableSource.FROM_PV_WIND_MODELS:
-        pv_arrays, wind_turbines = scenario.pv_arrays, scenario.wind_turbines
-        kept = r.__dict__.get(_DERIVED_FROM)  # what the parse modeled, and from which assets
-        if kept is not None and kept[0] is pv_arrays and kept[1] is wind_turbines:
-            generation = kept[2]
-        else:
-            generation = _modeled(pv_arrays, wind_turbines)
+        generation = _modeled(scenario.pv_arrays, scenario.wind_turbines)
         modeled = generation.total_annual_mwh
         if not math.isclose(
             r.renewable_energy, modeled, rel_tol=MODELED_SUPPLY_TOLERANCE, abs_tol=0.0
@@ -570,24 +562,17 @@ def _parse_assets(
     return tuple([_parse_record(item, build, table, key, i) for i, item in enumerate(items)])
 
 
-#: The key, outside the fields, under which a supply the parse derived from the assets
-#: keeps ``(pv_arrays, wind_turbines, GenerationResult)``, for the check to reuse.
-_DERIVED_FROM = "_derived_from"
-
-
 def _parse_renewables(
     raw: Mapping[str, Any],
     pv_arrays: tuple[PvArraySpec, ...],
     wind_turbines: tuple[WindTurbineSpec, ...],
 ) -> RenewableSupplySpec:
     _check_keys(raw, _SUPPLY.fields, ("source",), "renewables")
-    generation = None
     if "renewable_energy" in raw:
         renewable_energy = _number(raw["renewable_energy"], "renewables.renewable_energy")
     elif raw["source"] == RenewableSource.FROM_PV_WIND_MODELS:
         # Derive the supply from the scenario's own generation assets.
-        generation = _modeled(pv_arrays, wind_turbines)
-        renewable_energy = generation.total_annual_mwh
+        renewable_energy = _modeled(pv_arrays, wind_turbines).total_annual_mwh
     else:
         raise ValidationError(
             "renewables.renewable_energy",
@@ -597,10 +582,7 @@ def _parse_renewables(
     new_green = None
     if "new_green_energy" in raw:
         new_green = _number(raw["new_green_energy"], "renewables.new_green_energy")
-    supply = _in_range(RenewableSupplySpec.create(renewable_energy, raw["source"], new_green), _SUPPLY)
-    if generation is not None:
-        supply.__dict__[_DERIVED_FROM] = (pv_arrays, wind_turbines, generation)
-    return supply
+    return _in_range(RenewableSupplySpec.create(renewable_energy, raw["source"], new_green), _SUPPLY)
 
 
 def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:

@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from portsim import (
@@ -445,6 +447,34 @@ def test_every_accepted_document_runs_serializes_and_round_trips(doc):
     assert serialize_report(report, "csv").startswith(b"metric,value,unit\n")
     assert report_from_json(data) == report
     summarize(report)
+
+
+def _load_oracles():
+    """``bench/oracles.py``, which recomputes a report from the document in closed form
+    and solves its matrix by brute force, without the code under test (stdlib only)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = _load_oracles()
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_documents())
+def test_every_accepted_document_reports_what_an_independent_oracle_recomputes(doc):
+    matrix = doc.get("dispatch_matrix") or []
+    assume(all(float(x).is_integer() for row in matrix for x in row))  # the brute force takes ints
+    try:
+        report = run_scenario(scenario_from_dict(doc))
+    except PortsimError:  # a rejection, which the property above checks
+        report = None
+    assume(report is not None)
+    want = oracles.expected_report(doc, None)
+    oracles.check_json_report(serialize_report(report, "json").decode("utf-8"), want)
+    oracles.check_csv_report(serialize_report(report, "csv").decode("utf-8"), want)
 
 
 def test_report_with_unassigned_rows_round_trips():

@@ -758,18 +758,26 @@ DERIVED_SUPPLY = make_scenario_dict(
 )
 
 
-def test_a_derived_supply_is_modeled_once_by_its_file_and_its_overrides(monkeypatch):
-    calls = counting_models(monkeypatch)
+def test_a_derived_supply_reports_as_its_stated_twin_and_its_overrides():
+    from portsim import serialize_report
+
     scenario = scenario_from_dict(copy.deepcopy(DERIVED_SUPPLY))
-    assert len(calls) == 1  # the parse derives it; the check reuses what the parse modeled
+    generation = annual_generation(scenario.pv_arrays, scenario.wind_turbines)
+    # the twin states the value the assets model, which the file leaves to them
+    twin = copy.deepcopy(DERIVED_SUPPLY)
+    twin["renewables"]["renewable_energy"] = generation.total_annual_mwh
+    stated = scenario_from_dict(twin)
+    assert stated == scenario
+    for fmt in ("json", "csv"):
+        assert serialize_report(run_scenario(stated), fmt) == serialize_report(
+            run_scenario(scenario), fmt
+        )
     overridden = with_shares(scenario, SectorShares(0.2, 0.3, 0.5))
     overridden = with_weights(overridden, ObjectiveWeights(w_energy=2.0))
-    report = run_scenario(overridden)
-    assert len(calls) == 1
-    assert report.generation == annual_generation(scenario.pv_arrays, scenario.wind_turbines)
+    assert run_scenario(overridden).generation == generation
     # the same assets in new tuples are modeled again, and agree
-    assert replace(scenario, pv_arrays=tuple([*scenario.pv_arrays])) == scenario
-    assert len(calls) == 2
+    fresh = replace(scenario, pv_arrays=tuple([*scenario.pv_arrays]))
+    assert fresh == scenario and run_scenario(fresh).generation == generation
 
 
 def test_new_assets_under_a_derived_supply_are_still_checked():
@@ -797,8 +805,8 @@ def test_a_derived_supply_pickles_and_copies_without_its_assets():
 
     scenario = scenario_from_dict(copy.deepcopy(DERIVED_SUPPLY))
     supply = scenario.renewables
-    kept = supply.__dict__.keys() - {scenario_module._DERIVED_FROM}
-    assert scenario_module._DERIVED_FROM in supply.__dict__ and scenario_module._IN_RANGE in kept
+    kept = supply.__dict__.keys()
+    assert scenario_module._IN_RANGE in kept
     assert b"PvArraySpec" not in pickle.dumps(supply)
     for twin in (pickle.loads(pickle.dumps(supply)), copy.deepcopy(supply)):
         assert twin == supply and twin.__dict__.keys() == kept
