@@ -1,21 +1,19 @@
 """Scenario pipeline and report serialization.
 
 ``run_scenario`` wires the engines together: energy, emissions, modeled
-generation (as the scenario's check modeled it, when the supply comes from
-the assets), AGV dispatch (when a matrix is present), costs and the
-objective score. The result is a plain immutable record that serializes to
-JSON (machine readable, full precision, round-trippable) or CSV (one
-metric per row: ``metric,value,unit``, plot-ready). Every metric is
-declared once, in the ``_REPORT`` table, which both formats and the
-finiteness check walk; its rows follow each record's fields, so the dict
-form walks the records themselves. The JSON bytes are those of
-``json.dumps(report_to_dict(r), indent=2)`` plus a newline, written
-without it: non-ASCII characters as ``\\uXXXX`` escapes, floats as
-Python's shortest ``repr``.
-
-Reports are deterministic: the same scenario always produces the same
-bytes, and every number in them is finite. Presentation rounding happens
-only in ``summarize``, the human-readable digest printed by the CLI.
+generation (as the scenario's check modeled it from the assets), AGV
+dispatch (when a matrix is present), costs and the objective score. The
+result is a plain immutable record that checks itself when it is built, by
+``run_scenario``, ``report_from_json`` or a ``replace``, so every number in
+it is finite and the writers check nothing. It serializes to JSON (full
+precision, round-trippable) or CSV (one metric per row:
+``metric,value,unit``, plot-ready). Every metric is declared once, in the
+``_REPORT`` table, which both formats and the check walk; its rows follow
+each record's fields, so the dict form walks the records themselves. The
+JSON bytes are those of ``json.dumps(report_to_dict(r), indent=2)`` plus a
+newline, written without it: non-ASCII characters as ``\\uXXXX`` escapes,
+floats as Python's shortest ``repr``. Reports are deterministic;
+presentation rounding happens only in ``summarize``, the CLI's digest.
 """
 
 from __future__ import annotations
@@ -51,15 +49,14 @@ class SimulationReport:
     objective: ObjectiveScore
     flags: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        _check_report(self)
+
 
 def run_scenario(scenario: Scenario) -> SimulationReport:
-    """Evaluate one scenario into a full report.
-
-    The scenario was checked when it was built and is not checked again.
-    The report is checked instead: if one of its numbers is not finite
-    (the scenario's values overflow), :class:`ValidationError` names the
-    first one by its report path, e.g. ``emissions.baseline_emissions``.
-    """
+    """Evaluate one scenario, checked when it was built, into a report that checks itself:
+    if one of its numbers is not finite (the scenario's values overflow),
+    :class:`ValidationError` names the first by its path, e.g. ``emissions.baseline_emissions``."""
     renewable = scenario.renewables.renewable_energy
 
     energy = evaluate_energy(scenario.throughput, scenario.shares, renewable)
@@ -91,11 +88,9 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     flags.extend(scenario.notes)
 
     generation = scenario._generation  # what the check modeled, if the assets give the supply
-    report = SimulationReport(
+    return SimulationReport(
         scenario.name, energy, emissions, generation, assignment, costs, objective, tuple(flags)
     )
-    _check_numbers(report, "the scenario's values overflow the report")
-    return report
 
 
 # Every report field, in report order; ``name`` is both the attribute and the JSON key.
@@ -149,18 +144,54 @@ _REPORT = (
 )
 
 
-def _check_numbers(record: Any, why: str, rows=_REPORT, prefix="", csv=None) -> None:
-    """Raise :class:`ValidationError` naming the first inf or NaN; fill ``csv`` if given."""
+def _check_report(record: Any, rows: tuple = _REPORT, prefix: str = "") -> None:
+    """Raise :class:`ValidationError` naming the first field of ``record`` its row does not
+    allow. A number passes on one type test; only one that fails is looked at again."""
     values = record.__dict__  # faster than getattr, and run_scenario pays for this walk
     for name, kind, info in rows:
         value = values[name]
         if type(kind) is str:
-            if type(value) is float and not _MIN <= value <= _MAX:
-                raise ValidationError(prefix + name, f"{prefix}{name} is {value}: {why}")
-            if csv is not None:
-                csv.append(f"{kind},{_format_value(value)},{info}")
-        elif kind is not None and value is not None:
-            _check_numbers(value, why, info, f"{prefix}{name}.", csv)
+            if type(value) is float and _MIN <= value <= _MAX:
+                continue
+            path = prefix + name
+            if type(value) is float:  # inf or NaN
+                raise ValidationError(path, f"{path} is {value}: report numbers must be finite")
+            if type(value) is not int or not _MIN <= value <= _MAX:  # a bool is not a number
+                what = "an integer too large for a float" if type(value) is int else "not a number"
+                raise ValidationError(path, f"{path} is {what}")
+        elif kind is None:
+            _check_other(prefix + name, value)
+        elif value.__class__ is kind:
+            _check_report(value, info, f"{prefix}{name}.")
+        elif value is not None or kind not in (GenerationResult, Assignment):  # optional
+            raise ValidationError(prefix + name, f"{prefix}{name} is not of type {kind.__name__}")
+
+
+def _check_other(path: str, value: Any) -> None:
+    """Reject a ``scenario_name`` that is not a str, a list field that is not a tuple of its
+    items, or a mapping that gives one column to two rows."""
+    if path == "scenario_name":
+        if not isinstance(value, str):  # a str subclass, such as a RenewableSource, is a str
+            raise ValidationError(path, f"{path} is not a string")
+        return
+    if type(value) is not tuple:  # a list field is a list in JSON, and read as a tuple
+        raise ValidationError(path, f"{path} is not a {'tuple' if type(value) is list else 'list'}")
+    columns = set()  # an assignment gives each column to one row at most
+    for i, item in enumerate(value):
+        if path == "flags":
+            if isinstance(item, str):
+                continue
+            what = "is not a string"
+        elif item is None:
+            continue
+        elif type(item) is not int or item < 0:  # an exact type test: a bool is not an index
+            what = "is not a column index or null"
+        elif item in columns:
+            what = f"repeats column {item}"
+        else:
+            columns.add(item)
+            continue
+        raise ValidationError(f"{path}[{i}]", f"{path}[{i}] {what}")
 
 
 def report_to_dict(report: SimulationReport) -> dict[str, Any]:
@@ -168,6 +199,7 @@ def report_to_dict(report: SimulationReport) -> dict[str, Any]:
 
 
 def _from_dict(raw: Any, cls: type, rows: tuple, prefix: str = "") -> Any:
+    """``raw`` as a ``cls``, its lists as tuples; the report's check judges the values."""
     if type(raw) is not dict:
         where = prefix[:-1] or "report"
         raise ValidationError(where, f"{where} is not an object")
@@ -178,53 +210,16 @@ def _from_dict(raw: Any, cls: type, rows: tuple, prefix: str = "") -> Any:
         value = raw[name]
         if isinstance(kind, type) and value is not None:
             value = _from_dict(value, kind, info, f"{prefix}{name}.")
-        elif type(kind) is str and type(value) not in (int, float):
-            raise ValidationError(prefix + name, f"{prefix}{name} is not a number")
-        elif kind is None:
-            _check_other(prefix + name, value)
         fields[name] = tuple(value) if isinstance(value, list) else value
     return cls(**fields)
 
 
-#: What each list field of the report holds: (item test, item description).
-_LIST_ITEMS = {
-    "assignment.mapping": (
-        lambda j: j is None or (type(j) is int and j >= 0), "a column index or null"
-    ),
-    "flags": (lambda flag: type(flag) is str, "a string"),
-}
-
-
-def _check_other(path: str, value: Any) -> None:
-    """Reject a ``scenario_name`` that is not a str, a list field of the wrong type, or a
-    mapping that gives one column to two rows."""
-    if path not in _LIST_ITEMS:
-        if type(value) is not str:
-            raise ValidationError(path, f"{path} is not a string")
-        return
-    if type(value) is not list:
-        raise ValidationError(path, f"{path} is not a list")
-    test, what = _LIST_ITEMS[path]
-    columns = set()  # an assignment gives each column to one row at most
-    for i, item in enumerate(value):
-        if not test(item):  # an exact type test: a bool is not a column index
-            raise ValidationError(f"{path}[{i}]", f"{path}[{i}] is not {what}")
-        if path == "assignment.mapping" and item is not None:
-            if item in columns:
-                raise ValidationError(f"{path}[{i}]", f"{path}[{i}] repeats column {item}")
-            columns.add(item)
-
-
 def report_from_dict(raw: dict[str, Any]) -> SimulationReport:
-    """The inverse of ``report_to_dict``. A missing key, a section that is not an object, a
-    number that is not a finite int or float, a name that is not a str, flags that are not
-    strs, or a mapping entry that is not None or a column index (an int >= 0 that no earlier
-    row holds) is a ValidationError naming its report path. The report does not carry the
-    matrix shape, so a column past the last one, or more rows than the matrix had, is not
-    detected."""
-    report = _from_dict(raw, SimulationReport, _REPORT)
-    _check_numbers(report, "report numbers must be finite")
-    return report
+    """The inverse of ``report_to_dict``. A missing key, a section that is not an object, or
+    anything the report's check rejects is a ValidationError naming its report path. The
+    report does not carry the matrix shape, so a column past the last one, or more rows than
+    the matrix had, is not detected."""
+    return _from_dict(raw, SimulationReport, _REPORT)
 
 
 def report_from_json(data: bytes | str) -> SimulationReport:
@@ -252,19 +247,13 @@ _JSON = _json_steps(_REPORT, 1)
 
 
 def _json_scalar(value: Any) -> str:
-    """``value`` as ``json.dumps(..., allow_nan=False)`` writes it."""
+    """``value``, a str, an int or None, as ``json.dumps`` writes it."""
     if isinstance(value, str):
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
             return f'"{value}"'  # exactly the strings json writes unescaped
         from json.encoder import encode_basestring_ascii
         return encode_basestring_ascii(value)
-    if isinstance(value, float):
-        if _MIN <= value <= _MAX:
-            return float.__repr__(value)
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    return int.__repr__(value)  # any other type is a TypeError, as in json
+    return "null" if value is None else int.__repr__(value)
 
 
 def _write_json(record: Any, section: tuple, out: list[str]) -> None:
@@ -272,11 +261,11 @@ def _write_json(record: Any, section: tuple, out: list[str]) -> None:
     for head, name, nested, pad in steps:
         value = getattr(record, name)
         out.append(head)
-        if type(value) is float and _MIN <= value <= _MAX:  # nearly every value
+        if type(value) is float:  # nearly every value; the report's check made it finite
             out.append(repr(value))
         elif nested is not None and value is not None:
             _write_json(value, nested, out)
-        elif isinstance(value, (tuple, list)):
+        elif type(value) is tuple:
             items = f",{pad}  ".join([_json_scalar(item) for item in value])
             out.append(f"[{pad}  {items}{pad}]" if value else "[]")
         else:
@@ -291,15 +280,25 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
+def _csv_rows(record: Any, rows: tuple, out: list[str]) -> None:
+    values = record.__dict__
+    for name, kind, info in rows:
+        value = values[name]
+        if type(kind) is str:
+            out.append(f"{kind},{_format_value(value)},{info}")
+        elif kind is not None and value is not None:
+            _csv_rows(value, info, out)
+
+
 def serialize_report(report: SimulationReport, format: str) -> bytes:
-    """Serialize to ``"json"`` or ``"csv"`` bytes; a number that is not finite is a ValueError."""
+    """Serialize to ``"json"`` or ``"csv"`` bytes; the report was checked when it was built."""
     if format == "json":
         out: list[str] = []
         _write_json(report, _JSON, out)
         return ("".join(out) + "\n").encode("utf-8")
     if format == "csv":
         lines = ["metric,value,unit"]
-        _check_numbers(report, "report numbers must be finite", csv=lines)
+        _csv_rows(report, _REPORT, lines)
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {format!r} (expected 'json' or 'csv')")
 
@@ -318,7 +317,7 @@ def summarize(report: SimulationReport) -> str:
     lines = [
         f"scenario: {_printable(report.scenario_name)}",
         f"  energy: {_format_value(e.baseline_total)} -> {_format_value(e.optimized_total)} MWh"
-        f" ({e.reduction_fraction * 100:.1f}% lower)",
+        f" ({e.reduction_fraction:.1%} lower)",
         f"  emissions: {_format_value(m.baseline_emissions)} -> "
         f"{_format_value(m.optimized_emissions)} kg CO2"
         f" ({_format_value(m.reduction)} kg avoided)",
@@ -336,7 +335,7 @@ def summarize(report: SimulationReport) -> str:
         lines.append(f"  dispatch: total {_format_value(report.assignment.total_cost)} ({pairs})")
     lines.append(
         f"  cost: ${c.total_baseline / 1e6:.1f}M -> ${c.total_optimized / 1e6:.1f}M"
-        f" (savings ${c.total_savings / 1e6:.1f}M, {c.savings_fraction * 100:.1f}%)"
+        f" (savings ${c.total_savings / 1e6:.1f}M, {c.savings_fraction:.1%})"
     )
     lines.append(f"  objective score: {_format_value(report.objective.total)}")
     lines += [f"  note: {_printable(flag)}" for flag in report.flags]

@@ -5,7 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from portsim import (
@@ -16,6 +16,7 @@ from portsim import (
     GenerationResult,
     ObjectiveScore,
     PortsimError,
+    RenewableSource,
     SectorEnergyBreakdown,
     SimulationReport,
     ValidationError,
@@ -220,10 +221,12 @@ def test_run_rejects_a_dispatch_total_past_the_float_range():
 
 
 def test_json_refuses_a_number_that_is_not_finite(yangshan_report):
-    # run_scenario rejects such a report; one built by hand is caught when serialized
-    bad = replace(yangshan_report, objective=replace(yangshan_report.objective, total=math.nan))
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        serialize_report(bad, "json")
+    # a report checks itself when it is built, so one that holds a NaN never reaches a writer
+    objective = replace(yangshan_report.objective, total=math.nan)
+    with pytest.raises(ValidationError) as excinfo:
+        replace(yangshan_report, objective=objective)
+    assert excinfo.value.field == "objective.total"
+    assert str(excinfo.value) == "objective.total is nan: report numbers must be finite"
     assert b"NaN" not in serialize_report(yangshan_report, "json")
 
 
@@ -293,11 +296,23 @@ def _without_energy(raw):
          "assignment.mapping[2]", "assignment.mapping[2] repeats column 2"),
         (lambda raw: {**raw, "assignment": {**raw["assignment"], "mapping": [5, 5, -1, 7]}},
          "assignment.mapping[1]", "assignment.mapping[1] repeats column 5"),
+        (lambda raw: {**raw, "energy": None}, "energy", "energy is not of type EnergyResult"),
+        (lambda raw: {**raw, "emissions": None},
+         "emissions", "emissions is not of type EmissionsResult"),
+        (lambda raw: {**raw, "costs": None}, "costs", "costs is not of type CostReport"),
+        (lambda raw: {**raw, "objective": None},
+         "objective", "objective is not of type ObjectiveScore"),
+        (lambda raw: {**raw, "energy": {**raw["energy"], "baseline_by_sector": None}},
+         "energy.baseline_by_sector",
+         "energy.baseline_by_sector is not of type SectorEnergyBreakdown"),
+        (lambda raw: {**raw, "objective": {**raw["objective"], "total": 10**400}},
+         "objective.total", "objective.total is an integer too large for a float"),
     ],
     ids=["empty-object", "array", "no-energy", "section-array", "nested-string", "number-string",
          "name-number", "flags-string", "flag-null", "mapping-object", "mapping-object-entry",
          "mapping-bool-entry", "mapping-float-entry", "mapping-negative-entry",
-         "mapping-repeated-column", "mapping-duplicate-and-negative"],
+         "mapping-repeated-column", "mapping-duplicate-and-negative", "energy-null",
+         "emissions-null", "costs-null", "objective-null", "sectors-null", "number-past-float"],
 )
 def test_report_of_the_wrong_shape_is_a_validation_error(yangshan_report, reshape, field, message):
     text = json.dumps(reshape(report_to_dict(yangshan_report)))
@@ -309,11 +324,73 @@ def test_report_of_the_wrong_shape_is_a_validation_error(yangshan_report, reshap
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_csv_refuses_a_number_that_is_not_finite(yangshan_report, value):
+    # the report that would hold it cannot be built, so no CSV is written for it
     energy = yangshan_report.energy
     sectors = replace(energy.baseline_by_sector, transport=value)
-    bad = replace(yangshan_report, energy=replace(energy, baseline_by_sector=sectors))
-    with pytest.raises(ValueError, match="energy.baseline_by_sector.transport is "):
-        serialize_report(bad, "csv")
+    with pytest.raises(ValidationError, match="^energy.baseline_by_sector.transport is "):
+        replace(yangshan_report, energy=replace(energy, baseline_by_sector=sectors))
+
+
+HAND_BUILT_DEFECTS = [
+    (lambda r: replace(r, flags="abc"), "flags", "flags is not a list"),
+    (lambda r: replace(r, flags=["abc"]), "flags", "flags is not a tuple"),
+    (lambda r: replace(r, scenario_name=7), "scenario_name", "scenario_name is not a string"),
+    (lambda r: replace(r, assignment=replace(r.assignment, mapping=(1, 1, 0))),
+     "assignment.mapping[1]", "assignment.mapping[1] repeats column 1"),
+    (lambda r: replace(r, energy=r.emissions), "energy", "energy is not of type EnergyResult"),
+    (lambda r: replace(r, objective=replace(r.objective, total=True)),
+     "objective.total", "objective.total is not a number"),
+    (lambda r: replace(r, costs=replace(r.costs, total_baseline=-(10**400))),
+     "costs.total_baseline", "costs.total_baseline is an integer too large for a float"),
+]
+
+
+@pytest.mark.parametrize("build, field, message", HAND_BUILT_DEFECTS)
+def test_invalid_report_cannot_be_built(yangshan_report, build, field, message):
+    with pytest.raises(ValidationError) as excinfo:
+        build(yangshan_report)
+    assert excinfo.value.field == field
+    assert str(excinfo.value) == message
+
+
+def test_report_takes_ints_a_float_can_hold_and_str_subclasses(yangshan_report):
+    energy = replace(yangshan_report.energy, reduction_fraction=10**307)
+    report = replace(
+        yangshan_report, scenario_name=RenewableSource.EXPLICIT, energy=energy,
+        flags=(RenewableSource.FROM_PV_WIND_MODELS,),
+    )
+    assert report_from_json(serialize_report(report, "json")) == report
+    assert "(inf% lower)" in summarize(report)  # the int is rounded as a float, not raised on
+
+
+REPORT = run_scenario(get_preset("yangshan-phase4"))
+#: Each field's value in the preset's report, sections that hold an int near the float range,
+#: one past it, a NaN or a repeated column, and atoms
+REPORT_PARTS = st.sampled_from(
+    [getattr(REPORT, name) for name in SimulationReport.__match_args__]
+    + [GenerationResult(pv_annual=1000.0, wind_annual=0.0, total_annual_mwh=1.0),
+       replace(REPORT.energy, reduction_fraction=10**307),
+       replace(REPORT.costs, total_baseline=10**400),
+       replace(REPORT.objective, total=math.nan),
+       Assignment(mapping=(1, 1, 0), total_cost=1.0), Assignment(mapping=(0, None), total_cost=2)]
+    + [None, False, 1, 2.5, math.nan, "", "abc", b"abc", RenewableSource.EXPLICIT]
+)
+REPORT_VALUES = (
+    REPORT_PARTS | st.lists(REPORT_PARTS, max_size=3) | st.lists(REPORT_PARTS, max_size=3).map(tuple)
+)
+
+
+@example("flags", "abc")
+@given(st.sampled_from(SimulationReport.__match_args__), REPORT_VALUES)
+def test_any_field_value_builds_a_report_that_round_trips_or_is_named(name, value):
+    try:
+        report = replace(REPORT, **{name: value})
+    except ValidationError as exc:
+        assert exc.field == name or exc.field.startswith((f"{name}.", f"{name}["))
+        return
+    assert report_from_json(serialize_report(report, "json")) == report
+    serialize_report(report, "csv")
+    summarize(report)
 
 
 # ---------------------------------------------------------------------------
