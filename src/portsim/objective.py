@@ -56,8 +56,12 @@ def score_scenario(
         weights.w_dispatch * (dispatch_cost / weights.norm_dispatch),
         sign * weights.w_renewables * (renewable_energy / weights.norm_renewables),
     )
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+        total = sum(terms)  # inf or NaN, which the report's check names
     return ObjectiveScore(
-        total=math.fsum(terms),
+        total=total,
         emissions_term=terms[0],
         energy_term=terms[1],
         dispatch_term=terms[2],

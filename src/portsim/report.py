@@ -5,7 +5,7 @@ generation (as the scenario's check modeled it from the assets), AGV
 dispatch (when a matrix is present), costs and the objective score. The
 result is a plain immutable record that checks itself when it is built, by
 ``run_scenario``, ``report_from_json`` or a ``replace``, so every number in
-it is finite and the writers check nothing. It serializes to JSON (full
+it is a finite float and the writers check nothing. It serializes to JSON (full
 precision, round-trippable) or CSV (one metric per row:
 ``metric,value,unit``, plot-ready). Every metric is declared once, in the
 ``_REPORT`` table, which both formats and the check walk; its rows follow
@@ -146,7 +146,7 @@ _REPORT = (
 
 def _check_report(record: Any, rows: tuple = _REPORT, prefix: str = "") -> None:
     """Raise :class:`ValidationError` naming the first field of ``record`` its row does not
-    allow. A number passes on one type test; only one that fails is looked at again."""
+    allow. A number passes on one type test; an int a float can hold is stored as its float."""
     values = record.__dict__  # faster than getattr, and run_scenario pays for this walk
     for name, kind, info in rows:
         value = values[name]
@@ -159,6 +159,7 @@ def _check_report(record: Any, rows: tuple = _REPORT, prefix: str = "") -> None:
             if type(value) is not int or not _MIN <= value <= _MAX:  # a bool is not a number
                 what = "an integer too large for a float" if type(value) is int else "not a number"
                 raise ValidationError(path, f"{path} is {what}")
+            values[name] = float(value)  # so equal reports write equal bytes
         elif kind is None:
             _check_other(prefix + name, value)
         elif value.__class__ is kind:
@@ -171,7 +172,7 @@ def _check_other(path: str, value: Any) -> None:
     """Reject a ``scenario_name`` that is not a str, a list field that is not a tuple of its
     items, or a mapping that gives one column to two rows."""
     if path == "scenario_name":
-        if not isinstance(value, str):  # a str subclass, such as a RenewableSource, is a str
+        if not isinstance(value, str):  # a str subclass is a str
             raise ValidationError(path, f"{path} is not a string")
         return
     if type(value) is not tuple:  # a list field is a list in JSON, and read as a tuple

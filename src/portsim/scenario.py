@@ -17,7 +17,8 @@ ranges ``(low, high, wording)`` and defaults: required, a constant, or
 derived by ``create`` from the other fields. A value passes on one
 comparison, ``type(v) is float and low <= v <= high``, which also fails
 for NaN and the infinities; only a failing value takes the slow path,
-which accepts an int in range or raises with the field path, formatted
+which stores an int in range as its float in the record (so equal
+Scenarios write equal reports) or raises with the field path, formatted
 only then. A file's record is read in one walk when its keys are known
 and each of its values is a float in its range. The record built from it
 is marked as in range if the fields ``create`` derives are in range too;
@@ -53,7 +54,7 @@ from .objective import ObjectiveWeights
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
+    from collections.abc import Callable, Collection, Iterable, Mapping
     from os import PathLike
     from typing import Any
 
@@ -72,33 +73,14 @@ _MIN = -_MAX  # a constant, so a finiteness test negates nothing
 _TINY = 5e-324  # the smallest positive float
 
 
-class _Members(type):
-    def __iter__(cls) -> Iterator[RenewableSource]:
-        return iter((cls.EXPLICIT, cls.FROM_PV_WIND_MODELS))
+class RenewableSource:
+    """The two values of ``RenewableSupplySpec.source``, plain ``str`` constants."""
+
+    EXPLICIT = "explicit"
+    FROM_PV_WIND_MODELS = "from_pv_wind_models"
 
 
-class RenewableSource(str, metaclass=_Members):
-    """Where the scenario's renewable supply figure comes from: two ``str``
-    constants used like a ``(str, Enum)``'s members, without importing ``enum``."""
-
-    def __new__(cls, value: object) -> RenewableSource:
-        for member in cls:  # a scan, not a dict: the value may be unhashable
-            if member == value:
-                return member
-        raise ValueError(f"{value!r} is not a valid {cls.__name__}")
-
-    value = property(str.__str__)
-    name = property(str.upper)  # each name is its value in capitals
-
-    def __repr__(self) -> str:
-        return f"<RenewableSource.{self.name}: {self.value!r}>"
-
-    def __reduce_ex__(self, protocol: object) -> tuple[type, tuple[str]]:
-        return RenewableSource, (self.value,)  # so pickle and copy return the member
-
-
-RenewableSource.EXPLICIT = str.__new__(RenewableSource, "explicit")
-RenewableSource.FROM_PV_WIND_MODELS = str.__new__(RenewableSource, "from_pv_wind_models")
+_SOURCES = [RenewableSource.EXPLICIT, RenewableSource.FROM_PV_WIND_MODELS]
 
 
 @record
@@ -150,21 +132,19 @@ class RenewableSupplySpec:
     """
 
     renewable_energy: float
-    source: RenewableSource
+    source: str  # one of the RenewableSource constants
     new_green_energy: float
 
     @classmethod
     def create(
         cls,
         renewable_energy: float,
-        source: RenewableSource | str = RenewableSource.EXPLICIT,
+        source: str = RenewableSource.EXPLICIT,
         new_green_energy: float | None = None,
     ) -> "RenewableSupplySpec":
         if new_green_energy is None:
             new_green_energy = renewable_energy
-        # the member a str names, or the value as it is, for the Scenario's check to reject
-        source = next((m for m in RenewableSource if m == source), source)
-        return cls(float(renewable_energy), source, float(new_green_energy))
+        return cls(renewable_energy, source, new_green_energy)
 
 
 @record
@@ -192,11 +172,10 @@ class PvArraySpec:
         sun_hours: float,
         performance_ratio: float,
     ) -> "PvArraySpec":  # the defaults are those of the ``_PV`` table
-        area, irradiance = float(panel_area), float(irradiance)
-        efficiency, ratio = float(module_efficiency), float(performance_ratio)
         if peak_power is None:
-            peak_power = renewables_model.pv_instant_power(area, irradiance, efficiency)
-        return PvArraySpec(area, irradiance, efficiency, float(peak_power), float(sun_hours), ratio)
+            peak_power = renewables_model.pv_instant_power(panel_area, irradiance, module_efficiency)
+        return PvArraySpec(panel_area, irradiance, module_efficiency, peak_power, sun_hours,
+                           performance_ratio)
 
 
 @record
@@ -223,11 +202,11 @@ class WindTurbineSpec:
         power_coefficient: float,
         average_power: float | None,
     ) -> "WindTurbineSpec":  # the defaults are those of the ``_WIND`` table
-        area, speed, hours = float(swept_area), float(wind_speed), float(operating_hours)
-        density, cp = float(air_density), float(power_coefficient)
         if average_power is None:
-            average_power = renewables_model.wind_instant_power(density, area, speed, cp)
-        return WindTurbineSpec(density, area, speed, cp, float(average_power), hours)
+            average_power = renewables_model.wind_instant_power(air_density, swept_area,
+                                                                wind_speed, power_coefficient)
+        return WindTurbineSpec(air_density, swept_area, wind_speed, power_coefficient,
+                               average_power, operating_hours)
 
 
 @record
@@ -277,11 +256,12 @@ def _number(value: Any, field_name: str) -> float:
     return value
 
 
-def _out_of_range(value: Any, field_name: str, low: float, high: float, bounds: str) -> None:
-    """Slow path of a range check: accept an int in range, else raise."""
+def _out_of_range(value: Any, field_name: str, low: float, high: float, bounds: str) -> float:
+    """Slow path of a range check: the float of an int in range, else raise."""
     value = _number(value, field_name)
     if not low <= value <= high:
         raise ValidationError(field_name, f"{field_name} must be {bounds}, got {value:.12g}")
+    return value
 
 
 # Ranges as (low, high, wording): ``low <= v <= high`` is the whole test.
@@ -395,7 +375,7 @@ def _check_record(record: Any, table: _Table, where: str, index: int | None = No
         value = values[name]
         if type(value) is not float or not low <= value <= high:
             path = where if index is None else f"{where}[{index}]"
-            _out_of_range(value, f"{path}.{name}", low, high, bounds)
+            values[name] = _out_of_range(value, f"{path}.{name}", low, high, bounds)
 
 
 def _items(value: Any, where: str) -> Iterable[tuple[int, Any]]:
@@ -439,11 +419,9 @@ def _check_scenario(scenario: Scenario) -> None:
 
     r = scenario.renewables
     _check_record(r, _SUPPLY, "renewables")
-    if not isinstance(r.source, RenewableSource):
+    if r.source not in _SOURCES:  # a list, not a set: the value may be unhashable
         raise ValidationError(
-            "renewables.source",
-            f"renewables.source must be one of {[m.value for m in RenewableSource]}, "
-            f"got {r.source!r}",
+            "renewables.source", f"renewables.source must be one of {_SOURCES}, got {r.source!r}"
         )
 
     for i, pv in _items(scenario.pv_arrays, "pv_arrays"):
@@ -451,7 +429,7 @@ def _check_scenario(scenario: Scenario) -> None:
     for i, wt in _items(scenario.wind_turbines, "wind_turbines"):
         _check_record(wt, _WIND, "wind_turbines", i)
 
-    if r.source is RenewableSource.FROM_PV_WIND_MODELS:
+    if r.source == RenewableSource.FROM_PV_WIND_MODELS:
         generation = _modeled(scenario.pv_arrays, scenario.wind_turbines)
         modeled = generation.total_annual_mwh
         if not math.isclose(

@@ -306,6 +306,19 @@ def test_an_option_value_may_start_with_a_dash(capsys):
     assert err == "scenario: objective_weights.w_emissions must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [  # the terms sum past the float range, or two of them are inf and -inf
+        ("2e302,2e302,0,0", "objective.total is inf: report numbers must be finite"),
+        ("1,1,1e306,1e306", "objective.total is nan: report numbers must be finite"),
+    ],
+    ids=["past-range", "inf-minus-inf"],
+)
+def test_an_objective_total_past_the_float_range_is_a_one_line_error(capsys, weights, message):
+    assert main(["run", "yangshan-phase4", "--weights", weights]) == 1
+    assert one_line_error(capsys) == f"scenario: {message}\n"
+
+
 def one_line_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -227,8 +227,7 @@ def test_repr_text():
     )
     assert repr(Assignment((0, None), 1.0)) == "Assignment(mapping=(0, None), total_cost=1.0)"
     assert repr(RenewableSupplySpec(1.0, RenewableSource.EXPLICIT, 2.0)) == (
-        "RenewableSupplySpec(renewable_energy=1.0, source=<RenewableSource.EXPLICIT: "
-        "'explicit'>, new_green_energy=2.0)"
+        "RenewableSupplySpec(renewable_energy=1.0, source='explicit', new_green_energy=2.0)"
     )
 
 

@@ -223,7 +223,7 @@ def test_modeled_mode_consistent_value_accepted():
         pv_arrays=[{"panel_area": 50000.0, "module_efficiency": 0.17}],
     )
     scenario = validate_scenario(scenario_from_dict(raw))
-    assert scenario.renewables.source is RenewableSource.FROM_PV_WIND_MODELS
+    assert scenario.renewables.source == RenewableSource.FROM_PV_WIND_MODELS
 
 
 def test_modeled_supply_beyond_float_range_rejected():
@@ -370,10 +370,23 @@ def test_validate_scenario_returns_its_argument(minimal_scenario):
 def test_int_values_are_accepted_when_built_by_hand(minimal_scenario):
     scenario = replace(minimal_scenario, throughput=ThroughputSpec(1000, 100))
     assert scenario.throughput.teu_per_year == 1000
-    # a str that names a source is that member
-    supply = RenewableSupplySpec.create(78750.0, "explicit", 75000.0)
-    scenario = replace(get_preset("yangshan-phase4"), renewables=supply)
-    assert scenario.renewables.source is RenewableSource.EXPLICIT
+    # a source is a plain str, given to create or to the record itself
+    for supply in (
+        RenewableSupplySpec.create(78750.0, "explicit", 75000.0),
+        RenewableSupplySpec(78750.0, "explicit", 75000.0),
+    ):
+        scenario = replace(get_preset("yangshan-phase4"), renewables=supply)
+        assert scenario.renewables.source == RenewableSource.EXPLICIT
+
+
+def test_a_scenario_stores_each_int_as_its_float(minimal_scenario):
+    throughput, costs = ThroughputSpec(1000, 100), CostParameters(250, 175)
+    scenario = replace(minimal_scenario, throughput=throughput, costs=costs)
+    assert scenario.throughput is throughput and scenario.costs is costs  # the record itself
+    numbers = [throughput.teu_per_year, throughput.unit_energy]
+    numbers += [costs.baseline_cost_per_teu, costs.optimized_cost_per_teu]
+    assert numbers == [1000.0, 100.0, 250.0, 175.0]
+    assert all(type(value) is float for value in numbers)
 
 
 HAND_BUILT_DEFECTS = [
@@ -381,6 +394,11 @@ HAND_BUILT_DEFECTS = [
         lambda s: replace(s, throughput=ThroughputSpec(-1.0, 100.0)),
         "throughput.teu_per_year",
         "throughput.teu_per_year must be non-negative, got -1",
+    ),
+    (  # each int is in range, but their int product is past the float range
+        lambda s: replace(s, throughput=ThroughputSpec(10**200, 10**200)),
+        "throughput",
+        "implied total energy teu_per_year * unit_energy overflows",
     ),
     (
         lambda s: with_shares(s, SectorShares(0.5, 0.3, 0.3)),
@@ -1060,36 +1078,6 @@ def test_weights_errors_keep_their_order(weights, field, message):
         with pytest.raises(ValidationError) as excinfo:
             scenario_from_dict(raw)
         assert (excinfo.value.field, str(excinfo.value)) == (field, message)
-
-
-# ---------------------------------------------------------------------------
-# RenewableSource: two str constants that behave like the members of an Enum
-# ---------------------------------------------------------------------------
-
-
-def test_renewable_source_members():
-    explicit, modeled = RenewableSource.EXPLICIT, RenewableSource.FROM_PV_WIND_MODELS
-    assert list(RenewableSource) == [explicit, modeled]
-    assert [(m.name, m.value) for m in RenewableSource] == [
-        ("EXPLICIT", "explicit"), ("FROM_PV_WIND_MODELS", "from_pv_wind_models")
-    ]
-    assert RenewableSource("explicit") is explicit
-    assert RenewableSource("from_pv_wind_models") is modeled and RenewableSource(modeled) is modeled
-    assert isinstance(explicit, str) and explicit == "explicit" and explicit != modeled
-    assert str(explicit) == "explicit" and type(explicit.value) is str
-    assert hash(explicit) == hash(explicit.value) and {"explicit": 1}[explicit] == 1
-    assert repr(modeled) == "<RenewableSource.FROM_PV_WIND_MODELS: 'from_pv_wind_models'>"
-    for member in RenewableSource:
-        assert copy.copy(member) is member and copy.deepcopy(member) is member
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.loads(pickle.dumps(member, protocol)) is member
-
-
-@pytest.mark.parametrize("value", ["EXPLICIT", "", None, 1, ["explicit"], {"explicit": 1}])
-def test_unknown_renewable_source_is_a_value_error(value):
-    with pytest.raises(ValueError) as excinfo:
-        RenewableSource(value)
-    assert str(excinfo.value) == f"{value!r} is not a valid RenewableSource"
 
 
 # ---------------------------------------------------------------------------
