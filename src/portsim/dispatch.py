@@ -11,11 +11,11 @@ The solver finds an exact optimum in O(n^3) for n = max(rows, cols):
   (``DispatchError`` if it passes the float range).
 * A shortest-augmenting-path solve in the rectangular form of Crouse
   (2016) matches every row of the shorter side (a tall matrix is solved
-  as its transpose) with no padding. It starts from the row minima, seats
-  each row on its first free cheapest column and, in each search, takes a
-  free column among equally near ones, as Jonker & Volgenant (1987) do,
-  which keeps tie-heavy matrices fast. Its duals are optimal, and zero on
-  every column it leaves free.
+  as its transpose) with no padding. It starts from the row minima (a
+  marked matrix carries them), seats each row on its first free cheapest
+  column and, in each search, takes a free column among equally near
+  ones, as Jonker & Volgenant (1987) do, which keeps tie-heavy matrices
+  fast. Its duals are optimal, and zero on every column it leaves free.
 * The tie-break works on the real lines too. Each line the solve leaves
   free has a zero partner with a zero dual, so the duals stay optimal, but
   no partner is built: a wide matrix's zero rows share one tight list, and
@@ -56,7 +56,8 @@ class CostMatrix:
     or cell, row by row. Int cells whose exact total T has T * (n + 2) < 2**53,
     n = max(rows, cols), bound every cell by T and so prove the guard of
     ``_exact_costs``: the matrix is marked and solved with no integrality
-    pass. The proof assumes that ``float()`` of an ``int`` is integral.
+    pass. The proof assumes that ``float()`` of an ``int`` is integral. The
+    mark holds the solve's starting duals: the line minima, as floats.
     """
 
     entries: tuple[tuple[float, ...], ...]
@@ -75,7 +76,10 @@ class CostMatrix:
             # ``min`` of the cells raises on text (float() parses it) beside any number and finds negatives;
             # the given cells' sum is not below inf for a NaN, an infinity or a float total past range (an
             # int's float() raises past it; other totals, as a Decimal's, are summed again as floats).
-            valid = rows and {*map(len, rows)} == {len(rows[0])} and 0.0 <= min(map(min, rows))
+            valid = rows and {*map(len, rows)} == {len(rows[0])}
+            if valid:  # the minima of the lines the solve matches: the rows, or a tall matrix's columns
+                mins = [*map(min, rows if len(rows) <= len(rows[0]) else zip(*rows))]
+                valid = 0.0 <= min(mins)
             total = sum(map(sum, rows))
             valid = valid and (total if total.__class__ in (int, float) else sum(map(sum, entries))) < math.inf
         except (TypeError, ValueError, ArithmeticError):  # also an int past range, a Decimal NaN
@@ -84,7 +88,7 @@ class CostMatrix:
             _check_cells(rows)  # valid cells that only sum past the range or that min cannot compare
         self.__dict__["entries"] = entries
         if valid and total.__class__ is int and total * (max(len(rows), len(rows[0])) + 2) < 2**53:
-            self.__dict__[_INTEGRAL] = True
+            self.__dict__[_INTEGRAL] = [*map(float, mins)]
 
     @property
     def n_rows(self) -> int:
@@ -101,7 +105,7 @@ class CostMatrix:
 
 
 _SEQUENCES = (list, tuple)
-_INTEGRAL = "_integral"  # the mark, outside the fields: no ==, hash, repr, replace or asdict sees it
+_INTEGRAL = "_integral"  # the mark, kept outside the fields: no ==, hash, repr, replace or asdict sees its duals
 
 
 def _row_cells(i: int, row: Iterable[float]) -> list[float]:
@@ -162,10 +166,11 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
     """
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     n = max(n_rows, n_cols)
-    cost = matrix.entries if _INTEGRAL in matrix.__dict__ else _exact_costs(matrix.entries)
+    mins = matrix.__dict__.get(_INTEGRAL)
+    cost = _exact_costs(matrix.entries) if mins is None else matrix.entries
     tall = n_cols < n_rows
-    # Solve the short side; its free partners are indices, not zero lines.
-    a4b, b4a, ua, vb = _shortest_paths([*zip(*cost)] if tall else cost, n)
+    # Solve the short side; its free partners are indices, not zero lines. Copies share the mark: pass a copy.
+    a4b, b4a, ua, vb = _shortest_paths([*zip(*cost)] if tall else cost, n, mins and [*mins])
     free = [b for b in range(n) if b4a[b] < 0]
     for k, b in enumerate(free, len(a4b)):
         b4a[b] = k
@@ -227,7 +232,7 @@ def _exact_costs(entries: tuple[tuple[float, ...], ...]) -> list[Sequence[float]
 
 
 def _shortest_paths(
-    cost: Sequence[Sequence[float]], nc: int
+    cost: Sequence[Sequence[float]], nc: int, u: list[float] | None = None
 ) -> tuple[list[int], list[int], list[float], list[float]]:
     """Shortest-augmenting-path solve (Crouse 2016) of every row of an
     exact cost matrix with ``len(cost) <= nc`` columns: ``(col4row, row4col,
@@ -235,15 +240,15 @@ def _shortest_paths(
     column) and duals with ``cost[i][j] - u[i] - v[j]`` non-negative, and
     zero on matched pairs.
 
-    ``u`` starts at the row minima and ``v`` at zero, and each row first
-    takes the first free column among its cheapest ones: every greedy pair
-    is tight, so the certificate holds from the start, and no dual moves, so
-    the bounds in ``_exact_costs`` still hold. The rows left over search one
-    by one, and a free column wins a tie in distance. ``v`` falls only on
-    columns a search reaches, which stay matched, so it is zero on every
-    free column.
+    ``u`` starts at the row minima, given (and raised in place) or taken
+    here, and ``v`` at zero, and each row first takes the first free column
+    among its cheapest ones: every greedy pair is tight, so the certificate
+    holds from the start, and no dual moves, so the bounds in
+    ``_exact_costs`` still hold. The rows left over search one by one, and a
+    free column wins a tie in distance. ``v`` falls only on columns a search
+    reaches, which stay matched, so it is zero on every free column.
     """
-    u = list(map(min, cost))
+    u = list(map(min, cost)) if u is None else u
     zero = type(u[0])()  # duals of the costs' own type: no mixed int/float sums
     v = [zero] * nc
     col4row = [-1] * len(cost)

@@ -102,6 +102,64 @@ def enumerate_injections(entries):
     return Fraction(best[0][0], scale), best[1]
 
 
+def lexicographic_optimum(entries):
+    """What ``enumerate_injections`` returns, at any size: one Kuhn-Munkres
+    solve of a perturbed square matrix, on Python ints.
+
+    The matrix is padded to n x n, n = max(rows, cols), and its exact costs
+    are scaled to ints. With B = n + 1, real cell (i, j) costs
+    ``c * B**n + key(j) * B**(n - 1 - i)``, key(j) being j for a real column
+    and ``cols`` for a padded one (an unassigned row comes after every
+    column); padded rows cost 0. The keys of an assignment form one base-B
+    number below B**n, read row by row, so the one optimum of the perturbed
+    matrix is the lexicographically smallest optimal mapping of the original
+    (Burkard, Dell'Amico & Martello, *Assignment Problems*, 2009).
+    """
+    cost, scale = _scaled(entries)
+    n_rows, n_cols = len(cost), len(cost[0])
+    n = max(n_rows, n_cols)
+    big = (n + 1) ** n
+    a = [  # 1-based: column 0 is a placeholder
+        [0, *[c * big + j * digit for j, c in enumerate(row)], *[n_cols * digit] * (n - n_cols)]
+        for row, digit in zip(cost, [(n + 1) ** (n - 1 - i) for i in range(n_rows)])
+    ]
+    a += [[0] * (n + 1)] * (n - n_rows)
+    # The potentials form of the Hungarian method (Kuhn 1955, Munkres 1957), 1-based: row p[j] holds
+    # column j, and column 0 is the virtual start of each row's search. A search adds the rows it
+    # reaches one by one. ``minv[j]`` is the least reduced cost into free column j from those rows plus
+    # ``total``, the sum of the steps taken so far, so the potentials move once, as the search ends.
+    u, v, p, way = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0], j0, total = i, 0, 0
+        minv, free, reached = [math.inf] * (n + 1), [*range(1, n + 1)], []
+        while p[j0]:
+            reached.append((j0, total))
+            row, base = a[p[j0] - 1], u[p[j0]] - total
+            total = math.inf
+            for j in free:
+                cur = row[j] - base - v[j]
+                if cur < minv[j]:
+                    minv[j], way[j] = cur, j0
+                else:
+                    cur = minv[j]
+                if cur < total:
+                    total, j1 = cur, j
+            free.remove(j1)
+            j0 = j1
+        for j, before in reached:
+            u[p[j]] += total - before
+            v[j] -= total - before
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    mapping = [None] * n_rows
+    for j in range(1, n_cols + 1):
+        if p[j] <= n_rows:
+            mapping[p[j] - 1] = j - 1
+    return Fraction(sum(cost[i][j] for i, j in enumerate(mapping) if j is not None), scale), tuple(mapping)
+
+
 def bound_tops(n, k):
     """Largest entries C against 2**53, the bound of the float solve, for a
     longer side n: C * (n + 2) at most 2**53 - 1, at least 2**53, and at

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from portsim import Assignment, CostMatrix, DispatchError, load_cost_matrix, solve_assignment
 from portsim import dispatch
 from portsim.dispatch import _exact_costs, _shortest_paths
-from conftest import PAPER_MATRIX, bound_tops, enumerate_injections, enumerate_optima, tied_matrix
+from conftest import (
+    PAPER_MATRIX, bound_tops, enumerate_injections, enumerate_optima, lexicographic_optimum, tied_matrix
+)
 
 
 def test_reference_matrix_oracle_first():
@@ -462,6 +464,51 @@ def test_every_assignment_of_i_plus_j_ties(rows, cols):
     assert solved.total_cost == k * (k - 1)
 
 
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_lexicographic_optimum_is_the_enumerated_one(rows):
+    # the oracle of the tests below, checked on every shape up to 7 per side
+    rng = random.Random(f"oracle-{rows}")
+    for cols in range(1, 8):
+        cases = [[[rng.randint(0, hi) for _ in range(cols)] for _ in range(rows)] for hi in (2, 1000)]
+        cases.append([[rng.random() * 2.0 ** rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)])
+        for entries in cases:
+            assert lexicographic_optimum(entries) == enumerate_injections(entries), entries
+
+
+#: (rows, cols, cells from 0 to hi, or ``i + j`` for None), past the reach of enumeration.
+ORACLE_CASES = {
+    "16x16": (16, 16, 1000),
+    "16x16-ties": (16, 16, 3),
+    "8x16": (8, 16, 1000),
+    "16x8": (16, 8, 1000),
+    "6x7-wide-range": (6, 7, 100),  # and one cell from 1e16 to 1e17
+    "200-ties": (200, 200, 2),
+    "200-i+j": (200, 200, None),
+    "200x100": (200, 100, 1000),
+    "100x200": (100, 200, 1000),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_int_and_float_cells_give_the_lexicographic_optimum(name):
+    # int cells start the solve from the minima the build took; their float twins take them at the solve
+    rows, cols, hi = ORACLE_CASES[name]
+    rng = random.Random(f"oracle-{name}")
+    if hi is None:
+        ints = [[i + j for j in range(cols)] for i in range(rows)]
+    else:
+        ints = [[rng.randint(0, hi) for _ in range(cols)] for _ in range(rows)]
+    if name == "6x7-wide-range":
+        ints[rng.randrange(rows)][rng.randrange(cols)] = rng.randint(10**16, 10**17)
+    marked, plain = CostMatrix.from_rows(ints), CostMatrix.from_rows([[float(x) for x in row] for row in ints])
+    assert _marked(marked) is (name != "6x7-wide-range") and not _marked(plain)
+    best, mapping = lexicographic_optimum(marked.entries)
+    for matrix in (marked, plain):
+        solved = solve_assignment(matrix)
+        assert solved.mapping == mapping
+        assert float.hex(solved.total_cost) == float.hex(float(best))
+
+
 def short_side_matrices():
     """Integer matrices with no more rows than columns: entries 0-3 (ties),
     0-1000, or of any magnitude up to 2**80 (a wide range)."""
@@ -493,7 +540,8 @@ def test_shortest_paths_certificate(cost, as_floats):
     nc = len(cost[0])
     if as_floats and max(map(max, cost)) * (nc + 2) < 2**53:  # the bound of the float solve
         cost = [[float(c) for c in row] for row in cost]
-    col4row, row4col, u, v = _shortest_paths(cost, nc)
+    col4row, row4col, u, v = solved = _shortest_paths(cost, nc)
+    assert _shortest_paths(cost, nc, list(map(min, cost))) == solved  # the starting duals a marked matrix gives
     assert {type(x) for x in u + v} == {type(cost[0][0])}  # no int/float mix
     assert sorted(col4row) == sorted(j for j in range(nc) if row4col[j] >= 0)
     assert all(row4col[j] == i for i, j in enumerate(col4row))
@@ -637,7 +685,7 @@ def _int_cells(rng, rows, cols, total):
     return entries
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (4, 4), (3, 6), (6, 3)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (4, 4), (3, 6), (6, 3), (3, 5), (5, 3)])
 def test_integral_mark_is_set_for_int_totals_under_the_float_bound(shape):
     from fractions import Fraction
 
@@ -657,6 +705,10 @@ def test_integral_mark_is_set_for_int_totals_under_the_float_bound(shape):
     for cells, marked in cases:
         for matrix in (CostMatrix.from_rows(cells), CostMatrix(entries=cells)):
             assert _marked(matrix) is marked, (cells, marked)
+            if marked:  # the starting duals: the minima of the rows, or of a tall matrix's columns
+                mins = matrix.__dict__["_integral"]
+                assert mins == [float(min(line)) for line in (cells if rows <= cols else zip(*cells))]
+                assert {*map(type, mins)} == {float}
             best, mapping = enumerate_injections(matrix.entries)  # int cells past 2**53 are rounded
             assert solve_assignment(matrix) == Assignment(mapping=mapping, total_cost=float(best))
 
@@ -683,10 +735,17 @@ def test_integral_mark_cannot_be_seen():
         assert not _marked(replace(marked, entries=PAPER_MATRIX))  # the mark is worked out again
         assert _marked(replace(plain, entries=ints))
         assert replace(marked, entries=PAPER_MATRIX) == marked
-    solved = solve_assignment(marked)
-    for copied in (pickle.loads(pickle.dumps(marked)), copy.deepcopy(marked), copy.copy(marked)):
-        assert copied == marked and _marked(copied)
-        assert solve_assignment(copied) == solved == solve_assignment(plain)
+    # Each first solve searches, which raises the starting dual of one row (of one column of the
+    # tall matrix). Copies share the mark, and no solve may change it.
+    for rows, mins in ((ints, [350.0, 280.0, 360.0]), ([[1, 2], [1, 3], [5, 5]], [1.0, 2.0])):
+        matrix = CostMatrix.from_rows(rows)
+        solved = solve_assignment(matrix)
+        floats = CostMatrix.from_rows([[float(x) for x in row] for row in rows])
+        assert solve_assignment(matrix) == solved == solve_assignment(floats)
+        for copied in (pickle.loads(pickle.dumps(matrix)), copy.deepcopy(matrix), copy.copy(matrix)):
+            assert copied == matrix and _marked(copied)
+            assert solve_assignment(copied) == solved
+        assert matrix.__dict__["_integral"] == mins
 
 
 def test_int_entries_that_stopped_the_solve_are_solved():
