@@ -2,13 +2,12 @@
 
 The solver finds an exact optimum in O(n^3) for n = max(rows, cols):
 
-* Sums and comparisons are exact, with no tolerance: integral costs whose
-  duals stay below 2**53 are solved on their own floats, any others are
-  scaled by one common power of two into Python ints (each float is
-  m * 2**e). Only int cells (JSON integers, int lists) are proved integral
-  once, as the matrix is built; the rest, CSV grids too, at each solve.
-  ``total_cost`` is the ``math.fsum`` of the selected original entries
-  (``DispatchError`` if it passes the float range).
+* Sums and comparisons are exact, with no tolerance: a matrix that its
+  build proves integral, with every dual below 2**53, is solved on its own
+  floats, and any other is scaled by one common power of two into Python
+  ints (each float is m * 2**e). ``total_cost`` is the ``math.fsum`` of
+  the selected original entries (``DispatchError`` if it passes the float
+  range).
 * A shortest-augmenting-path solve in the rectangular form of Crouse
   (2016) matches every row of the shorter side (a tall matrix is solved
   as its transpose) with no padding. It starts from the row minima (a
@@ -53,11 +52,21 @@ class CostMatrix:
     tuple of float tuples, so every instance is solvable. Entries that are not
     iterable, an empty or ragged matrix, or a cell that is text, not a number,
     not finite or negative, raises ``DispatchError`` naming the first such row
-    or cell, row by row. Int cells whose exact total T has T * (n + 2) < 2**53,
-    n = max(rows, cols), bound every cell by T and so prove the guard of
-    ``_exact_costs``: the matrix is marked and solved with no integrality
-    pass. The proof assumes that ``float()`` of an ``int`` is integral. The
-    mark holds the solve's starting duals: the line minima, as floats.
+    or cell, row by row.
+
+    The build alone proves a matrix integral, and marks it, when its entries
+    are integral and their total T has T * (n + 2) < 2**53, n = max(rows,
+    cols). Int cells give T exactly, and their floats are integral, so they
+    take no ``float.is_integer`` pass; any other T is the ``math.fsum`` of
+    the floats, correctly rounded, so exact below 2**53 and not rounded
+    under the bound from above it. Every entry C is then at most T, and the
+    solve runs on these floats: its greedy start moves no dual, and each
+    search raises the matched cost by at least its ``low`` and at most C
+    (the new row can take a column the old optimum left free), so v >= -n*C,
+    u <= (n+1)*C, and every ``dist`` and ``row[j] - u[i]`` stays within
+    (n+2)*C < 2**53, where float sums and comparisons of integers are exact.
+    The mark holds the solve's starting duals, the line minima as floats.
+    Other matrices take ``_scaled_costs``.
     """
 
     entries: tuple[tuple[float, ...], ...]
@@ -74,20 +83,23 @@ class CostMatrix:
         try:
             entries = tuple([tuple([*map(float, row)]) for row in rows])
             # ``min`` of the cells raises on text (float() parses it) beside any number and finds negatives;
-            # the given cells' sum is not below inf for a NaN, an infinity or a float total past range (an
-            # int's float() raises past it; other totals, as a Decimal's, are summed again as floats).
+            # the total is not below inf for a NaN, an infinity or a float total past range (an int's float()
+            # raises past it).
             valid = rows and {*map(len, rows)} == {len(rows[0])}
             if valid:  # the minima of the lines the solve matches: the rows, or a tall matrix's columns
                 mins = [*map(min, rows if len(rows) <= len(rows[0]) else zip(*rows))]
                 valid = 0.0 <= min(mins)
-            total = sum(map(sum, rows))
-            valid = valid and (total if total.__class__ in (int, float) else sum(map(sum, entries))) < math.inf
+            total = sum(map(sum, rows))  # exact for int cells; any others are summed as their floats
+            total = total if total.__class__ is int else math.fsum(itertools.chain(*entries))
+            valid = valid and total < math.inf
         except (TypeError, ValueError, ArithmeticError):  # also an int past range, a Decimal NaN
             valid = False
         if not valid:  # raises for any cell float() rejected, so ``entries`` is set below; passes
             _check_cells(rows)  # valid cells that only sum past the range or that min cannot compare
         self.__dict__["entries"] = entries
-        if valid and total.__class__ is int and total * (max(len(rows), len(rows[0])) + 2) < 2**53:
+        if valid and total * (max(len(rows), len(rows[0])) + 2) < 2**53 and (
+            total.__class__ is int or all(map(float.is_integer, itertools.chain(*entries)))
+        ):
             self.__dict__[_INTEGRAL] = [*map(float, mins)]
 
     @property
@@ -105,7 +117,7 @@ class CostMatrix:
 
 
 _SEQUENCES = (list, tuple)
-_INTEGRAL = "_integral"  # the mark, kept outside the fields: no ==, hash, repr, replace or asdict sees its duals
+_INTEGRAL = "_integral"  # the mark of a proved matrix, outside the fields: no ==, hash, repr, replace or asdict sees it
 
 
 def _row_cells(i: int, row: Iterable[float]) -> list[float]:
@@ -167,7 +179,7 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     n = max(n_rows, n_cols)
     mins = matrix.__dict__.get(_INTEGRAL)
-    cost = _exact_costs(matrix.entries) if mins is None else matrix.entries
+    cost = _scaled_costs(matrix.entries) if mins is None else matrix.entries
     tall = n_cols < n_rows
     # Solve the short side; its free partners are indices, not zero lines. Copies share the mark: pass a copy.
     a4b, b4a, ua, vb = _shortest_paths([*zip(*cost)] if tall else cost, n, mins and [*mins])
@@ -209,23 +221,9 @@ def _total(selected: Iterable[float]) -> float:
         raise DispatchError("total cost overflows") from None
 
 
-def _exact_costs(entries: tuple[tuple[float, ...], ...]) -> list[Sequence[float]]:
-    """Costs on which the solve adds and compares exactly: the float rows
-    as they are if all are integral floats and C * (n + 2) < 2**53, for C
-    the largest entry and n = max(rows, cols); else the entries times one
-    common power of two, as Python ints (an integral x gives ``int(x)``).
-
-    The greedy start of ``_shortest_paths`` moves no dual, and each of its
-    searches raises the matched cost by at least its ``low`` and at most C
-    (the new row can take a column the old optimum left free), so v >= -n*C,
-    u <= (n+1)*C, and every ``dist`` and ``row[j] - u[i]`` stays within
-    (n+2)*C < 2**53: float sums and comparisons of these integers are exact.
-    Rounding is monotonic, so the float guard passes no matrix over the bound.
-    A ``CostMatrix`` of int cells whose total bounds C is not passed here.
-    """
-    n = max(len(entries), len(entries[0]))
-    if max(map(max, entries)) * (n + 2) < 2**53 and all(map(float.is_integer, itertools.chain(*entries))):
-        return [*entries]
+def _scaled_costs(entries: tuple[tuple[float, ...], ...]) -> list[list[int]]:
+    """The entries times one common power of two, as Python ints, on which
+    the solve adds and compares exactly (an integral x gives ``int(x)``)."""
     ratios = [[x.as_integer_ratio() for x in row] for row in entries]
     scale = max(q for row in ratios for _, q in row)
     return [[p * (scale // q) for p, q in row] for row in ratios]
@@ -243,8 +241,8 @@ def _shortest_paths(
     ``u`` starts at the row minima, given (and raised in place) or taken
     here, and ``v`` at zero, and each row first takes the first free column
     among its cheapest ones: every greedy pair is tight, so the certificate
-    holds from the start, and no dual moves, so the bounds in
-    ``_exact_costs`` still hold. The rows left over search one by one, and a
+    holds from the start, and no dual moves, as the bound proved by
+    ``CostMatrix`` requires. The rows left over search one by one, and a
     free column wins a tie in distance. ``v`` falls only on columns a search
     reaches, which stay matched, so it is zero on every free column.
     """

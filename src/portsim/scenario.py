@@ -675,7 +675,7 @@ def load_scenario(path: str | PathLike[str]) -> Scenario:
     """Read a scenario file; the Scenario it returns is checked and valid."""
     with open(path, encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")  # as ``load_cost_matrix`` reads a grid
         except UnicodeDecodeError as exc:
             raise ValidationError("scenario", f"not UTF-8 text: {exc}") from None
     return scenario_from_json(text)

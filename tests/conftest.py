@@ -161,9 +161,10 @@ def lexicographic_optimum(entries):
 
 
 def bound_tops(n, k):
-    """Largest entries C against 2**53, the bound of the float solve, for a
-    longer side n: C * (n + 2) at most 2**53 - 1, at least 2**53, and at
-    least 2**53 + 2**k."""
+    """Values x against 2**53, the bound of the float solve, for a longer
+    side n: x * (n + 2) at most 2**53 - 1, at least 2**53, and at least
+    2**53 + 2**k. A matrix's total is held to this bound; the largest entry
+    only needs to be."""
     m = n + 2
     return (2**53 - 1) // m, -(-(2**53) // m), -(-(2**53 + 2**k) // m)
 

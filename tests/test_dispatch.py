@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from portsim import Assignment, CostMatrix, DispatchError, load_cost_matrix, solve_assignment
 from portsim import dispatch
-from portsim.dispatch import _exact_costs, _shortest_paths
-from conftest import (
-    PAPER_MATRIX, bound_tops, enumerate_injections, enumerate_optima, lexicographic_optimum, tied_matrix
-)
+from portsim.dispatch import _shortest_paths
+from conftest import PAPER_MATRIX, bound_tops, enumerate_injections, enumerate_optima, lexicographic_optimum
 
 
 def test_reference_matrix_oracle_first():
@@ -414,17 +412,16 @@ BOUND_SHAPES = [(r, c) for r in range(1, 6) for c in range(1, 6)] + [
 
 @pytest.mark.parametrize("side", [0, 1, 2], ids=["under", "at", "over"])
 def test_integral_costs_at_the_float_bound(side):
-    # side indexes bound_tops: only a largest entry under the bound keeps the float solve
+    # side indexes bound_tops, taken as the float total T: only T * (n + 2) under 2**53 marks the matrix
     rng = random.Random(f"bound-{side}")
     for rows, cols in BOUND_SHAPES:
         for k in (0, 26, 52):
-            entries = tied_matrix(rng, rows, cols, bound_tops(max(rows, cols), k)[side])
+            total = bound_tops(max(rows, cols), k)[side]
+            entries = [[float(x) for x in row] for row in _int_cells(rng, rows, cols, total)]
             matrix = CostMatrix.from_rows(entries)
-            assert type(_exact_costs(matrix.entries)[0][0]) is (float if side == 0 else int)
+            assert _marked(matrix) is (side == 0)
             best, mapping = enumerate_injections(entries)
-            solved = solve_assignment(matrix)
-            assert solved.mapping == mapping
-            assert solved.total_cost == float(best)
+            assert solve_assignment(matrix) == Assignment(mapping=mapping, total_cost=float(best))
 
 
 def test_all_zero_200_is_identity():
@@ -475,7 +472,7 @@ def test_lexicographic_optimum_is_the_enumerated_one(rows):
             assert lexicographic_optimum(entries) == enumerate_injections(entries), entries
 
 
-#: (rows, cols, cells from 0 to hi, or ``i + j`` for None), past the reach of enumeration.
+#: (rows, cols, cells from 0 to hi, or a rule of (i, j)), past the reach of enumeration.
 ORACLE_CASES = {
     "16x16": (16, 16, 1000),
     "16x16-ties": (16, 16, 3),
@@ -483,7 +480,8 @@ ORACLE_CASES = {
     "16x8": (16, 8, 1000),
     "6x7-wide-range": (6, 7, 100),  # and one cell from 1e16 to 1e17
     "200-ties": (200, 200, 2),
-    "200-i+j": (200, 200, None),
+    "200-i+j": (200, 200, int.__add__),
+    "200-i*j": (200, 200, int.__mul__),
     "200x100": (200, 100, 1000),
     "100x200": (100, 200, 1000),
 }
@@ -491,22 +489,25 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_int_and_float_cells_give_the_lexicographic_optimum(name):
-    # int cells start the solve from the minima the build took; their float twins take them at the solve
+    # int cells and their float twins carry the same mark; the twin of every cell / 8 is not integral
     rows, cols, hi = ORACLE_CASES[name]
     rng = random.Random(f"oracle-{name}")
-    if hi is None:
-        ints = [[i + j for j in range(cols)] for i in range(rows)]
+    if callable(hi):
+        ints = [[hi(i, j) for j in range(cols)] for i in range(rows)]
     else:
         ints = [[rng.randint(0, hi) for _ in range(cols)] for _ in range(rows)]
     if name == "6x7-wide-range":
         ints[rng.randrange(rows)][rng.randrange(cols)] = rng.randint(10**16, 10**17)
-    marked, plain = CostMatrix.from_rows(ints), CostMatrix.from_rows([[float(x) for x in row] for row in ints])
-    assert _marked(marked) is (name != "6x7-wide-range") and not _marked(plain)
+    marked = CostMatrix.from_rows(ints)
+    floats = CostMatrix.from_rows(marked.entries)
+    eighths = CostMatrix.from_rows([[x / 8 for x in row] for row in marked.entries])
+    assert _marked(marked) is (name != "6x7-wide-range") and not _marked(eighths)
+    assert floats == marked and floats.__dict__.get("_integral") == marked.__dict__.get("_integral")
     best, mapping = lexicographic_optimum(marked.entries)
-    for matrix in (marked, plain):
+    for matrix, total in ((marked, best), (eighths, best / 8)):
         solved = solve_assignment(matrix)
         assert solved.mapping == mapping
-        assert float.hex(solved.total_cost) == float.hex(float(best))
+        assert float.hex(solved.total_cost) == float.hex(float(total))
 
 
 def short_side_matrices():
@@ -662,9 +663,11 @@ def test_int_entries_solve_like_their_floats(rows, mixed):
         rows[0][0] = float(rows[0][0])
     direct_matrix = CostMatrix(entries=tuple(map(tuple, rows)))
     converted_matrix = CostMatrix.from_rows(rows)
-    floats = solve_assignment(CostMatrix.from_rows([[float(x) for x in row] for row in rows]))
-    # all-int rows, far under the bound, skip the integrality pass; a float cell keeps it
-    assert _marked(direct_matrix) is _marked(converted_matrix) is (not mixed)
+    floats_matrix = CostMatrix.from_rows([[float(x) for x in row] for row in rows])
+    floats = solve_assignment(floats_matrix)
+    # integral cells far under the bound: all-int rows skip the integrality pass, a float cell takes it
+    marks = [matrix.__dict__.get("_integral") for matrix in (direct_matrix, converted_matrix, floats_matrix)]
+    assert marks[0] is not None and marks[0] == marks[1] == marks[2]
     direct = solve_assignment(direct_matrix)
     converted = solve_assignment(converted_matrix)
     assert direct == converted == floats and repr(direct) == repr(converted) == repr(floats)
@@ -696,11 +699,14 @@ def test_integral_mark_is_set_for_int_totals_under_the_float_bound(shape):
     cases = [(_int_cells(rng, rows, cols, total), total == under) for total in (under, at, over)]
     cases.append(([[True] * cols for _ in range(rows)], True))  # bool cells alone
     tops = _int_cells(rng, rows, cols, under)
+    # any other cells are marked on their floats: integral, with a float total under the bound
     cases += [
-        ([[float(x) for x in row] for row in tops], False),
-        ([[Fraction(x) for x in row] for row in tops], False),
-        ([[Decimal(int(x)) for x in row] for row in tops], False),
-        ([[float(tops[0][0]), *tops[0][1:]], *tops[1:]], False),  # one mixed int/float row
+        ([[float(x) for x in row] for row in tops], True),
+        ([[Fraction(x) for x in row] for row in tops], True),
+        ([[Decimal(int(x)) for x in row] for row in tops], True),
+        ([[float(tops[0][0]), *tops[0][1:]], *tops[1:]], True),  # one mixed int/float row
+        ([[float(x) for x in row] for row in _int_cells(rng, rows, cols, at)], False),
+        ([[x + 0.5 for x in row] for row in tops], False),
     ]
     for cells, marked in cases:
         for matrix in (CostMatrix.from_rows(cells), CostMatrix(entries=cells)):
@@ -722,19 +728,22 @@ def test_integral_mark_cannot_be_seen():
     from conftest import make_scenario_dict
 
     ints = [[420, 350, 450], [450, 400, 280], [420, 360, 390]]
-    marked, plain = CostMatrix.from_rows(ints), CostMatrix.from_rows(PAPER_MATRIX)
-    assert _marked(marked) and not _marked(plain)
-    assert marked == plain and hash(marked) == hash(plain) and repr(marked) == repr(plain)
+    eighths = [[x / 8 for x in row] for row in ints]  # 52.5, 43.75, ...: not integral
+    marked, plain = CostMatrix.from_rows(ints), CostMatrix.from_rows(eighths)
+    assert _marked(marked) and _marked(CostMatrix.from_rows(PAPER_MATRIX)) and not _marked(plain)
+    unmarked = copy.copy(marked)  # the same entries without the mark
+    del unmarked.__dict__["_integral"]
+    assert marked == unmarked and hash(marked) == hash(unmarked) and repr(marked) == repr(unmarked)
     for asdict in (dataclasses.asdict, _record.asdict):
-        assert asdict(marked) == asdict(plain) and [*asdict(marked)] == ["entries"]
+        assert asdict(marked) == asdict(unmarked) and [*asdict(marked)] == ["entries"]
     as_dicts = [
         scenario_to_dict(scenario_from_dict(make_scenario_dict(dispatch_matrix=rows))) for rows in (ints, PAPER_MATRIX)
     ]
     assert as_dicts[0] == as_dicts[1]
     for replace in (dataclasses.replace, _record.replace):
-        assert not _marked(replace(marked, entries=PAPER_MATRIX))  # the mark is worked out again
-        assert _marked(replace(plain, entries=ints))
-        assert replace(marked, entries=PAPER_MATRIX) == marked
+        assert not _marked(replace(marked, entries=eighths))  # the mark is worked out again
+        assert _marked(replace(plain, entries=ints)) and _marked(replace(unmarked, entries=PAPER_MATRIX))
+        assert replace(plain, entries=PAPER_MATRIX) == marked
     # Each first solve searches, which raises the starting dual of one row (of one column of the
     # tall matrix). Copies share the mark, and no solve may change it.
     for rows, mins in ((ints, [350.0, 280.0, 360.0]), ([[1, 2], [1, 3], [5, 5]], [1.0, 2.0])):

@@ -302,6 +302,18 @@ def test_a_file_that_is_not_utf8_is_a_validation_error(tmp_path):
     assert excinfo.value.field == "scenario"
 
 
+def test_load_scenario_skips_a_utf8_bom(tmp_path):
+    # a file saved as "UTF-8 with BOM" reads as its text; a second BOM is text that JSON rejects
+    text = json.dumps(make_scenario_dict())
+    path = tmp_path / "bom.json"
+    path.write_text(text, "utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert scenario_module.load_scenario(path) == scenario_from_json(text)
+    path.write_text("\ufeff" + text, "utf-8-sig")
+    with pytest.raises(ValidationError, match="^invalid JSON: Unexpected UTF-8 BOM"):
+        scenario_module.load_scenario(path)
+
+
 def test_defaults_for_pv_and_wind_assets():
     pv = PvArraySpec.create(panel_area=50000.0, module_efficiency=0.17)
     assert pv.irradiance == 1.0
