@@ -29,6 +29,10 @@ perfect matchings of the tight subgraph, the pairs with zero reduced cost
 under the optimal duals, so the tie-break re-routes the matching along
 tight alternating paths instead of solving again. The tie-break makes
 reports byte-for-byte reproducible across runs and implementations.
+
+The per-solve functions do their per-row work in plain loops, not
+comprehensions: before Python 3.12, which inlines them (PEP 709), each
+comprehension is a call of its own and each local it reads a closure cell.
 """
 
 from __future__ import annotations
@@ -183,15 +187,21 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
     tall = n_cols < n_rows
     # Solve the short side; its free partners are indices, not zero lines. Copies share the mark: pass a copy.
     a4b, b4a, ua, vb = _shortest_paths([*zip(*cost)] if tall else cost, n, mins and [*mins])
-    free = [b for b in range(n) if b4a[b] < 0]
-    for k, b in enumerate(free, len(a4b)):
-        b4a[b] = k
-    a4b += free
+    for b in range(n):  # each free line's partner: the next index past the short side
+        if b4a[b] < 0:
+            b4a[b] = len(a4b)
+            a4b.append(b)
     col4row, row4col, u, v = (b4a, a4b, vb, ua) if tall else (a4b, b4a, ua, vb)
     _tie_break(cost, n, col4row, row4col, u, v)
-    mapping = tuple([j if j < n_cols else None for j in col4row[:n_rows]])
-    selected = [row[j] for row, j in zip(matrix.entries, mapping) if j is not None]
-    return Assignment(mapping=mapping, total_cost=_total(selected))
+    mapping = []
+    selected = []
+    for row, j in zip(matrix.entries, col4row):
+        if j < n_cols:
+            selected.append(row[j])
+        else:
+            j = None
+        mapping.append(j)
+    return Assignment(mapping=tuple(mapping), total_cost=_total(selected))
 
 
 def load_cost_matrix(path: str | PathLike[str]) -> CostMatrix:
@@ -224,9 +234,18 @@ def _total(selected: Iterable[float]) -> float:
 def _scaled_costs(entries: tuple[tuple[float, ...], ...]) -> list[list[int]]:
     """The entries times one common power of two, as Python ints, on which
     the solve adds and compares exactly (an integral x gives ``int(x)``)."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in entries]
-    scale = max(q for row in ratios for _, q in row)
-    return [[p * (scale // q) for p, q in row] for row in ratios]
+    scaled = []  # each row's (p, q), x = p / q, until the common scale is known
+    scale = 1
+    for row in entries:
+        row = [*map(float.as_integer_ratio, row)]
+        scaled.append(row)
+        for _, q in row:
+            if q > scale:
+                scale = q
+    for row in scaled:
+        for j, (p, q) in enumerate(row):
+            row[j] = p * (scale // q)
+    return scaled
 
 
 def _shortest_paths(
@@ -261,7 +280,9 @@ def _shortest_paths(
         col4row[i] = j
         row4col[j] = i
     path = [0] * nc
-    for start in [i for i, j in enumerate(col4row) if j < 0]:
+    for start in range(len(cost)):  # each row the greedy start left free: a search seats only its own
+        if col4row[start] >= 0:
+            continue
         dist: list[float] = [math.inf] * nc
         remaining = list(range(nc))
         scanned = []  # matched columns the search reached
@@ -315,9 +336,19 @@ def _tie_break(
     columns are tight for exactly the rows with ``u == 0``.
     """
     n_rows, n_cols = len(u), len(v)
-    tight = [[j for j in range(n_cols) if row[j] - ui == v[j]] for row, ui in zip(cost, u)]
+    tight = []
+    for row, ui in zip(cost, u):
+        line = []
+        for j in range(n_cols):
+            if row[j] - ui == v[j]:
+                line.append(j)
+        tight.append(line)
     if n_rows < n:  # wide: the zero rows holding the free columns
-        tight += [[j for j in range(n) if v[j] == 0]] * (n - n_rows)
+        line = []
+        for j in range(n):
+            if v[j] == 0:
+                line.append(j)
+        tight += [line] * (n - n_rows)
     elif n_cols < n:  # tall: the zero columns held by the free rows
         pads = range(n_cols, n)
         for line, ui in zip(tight, u):
@@ -337,7 +368,7 @@ def _tie_break(
             chain = _alternating_path(k, i, target, tight, row4col, seen)
             if chain is None:
                 continue
-            cols = [col4row[row] for row in chain[1:]]
+            cols = [*map(col4row.__getitem__, chain[1:])]
             cols.append(target)
             col4row[i] = j
             row4col[j] = i

@@ -577,6 +577,12 @@ def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
     return _parse_record(numbers, build, _WEIGHTS, "objective_weights")
 
 
+def _parse_notes(raw: Any) -> tuple[Any, ...]:
+    if not isinstance(raw, (list, tuple)):
+        raise ValidationError("notes", "notes must be a list")
+    return tuple(raw)  # each note is checked with the Scenario
+
+
 def _parse_matrix(raw: Any) -> CostMatrix | None:
     """A file's ``dispatch_matrix``, checked by ``CostMatrix``. Only a failure, or a cell that is
     no int or float (``float()`` takes ``true``), walks the cells, so that the first cell
@@ -610,7 +616,6 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     pv_arrays = _parse_assets(raw, "pv_arrays", PvArraySpec.create, _PV)
     wind_turbines = _parse_assets(raw, "wind_turbines", WindTurbineSpec.create, _WIND)
 
-    notes = raw.get("notes", ())
     return Scenario(
         name=raw["name"],
         throughput=_parse_record(raw["throughput"], ThroughputSpec, _THROUGHPUT, "throughput"),
@@ -622,7 +627,7 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
         wind_turbines=wind_turbines,
         dispatch_matrix=_parse_matrix(raw.get("dispatch_matrix")),
         objective_weights=_parse_weights(raw.get("objective_weights", {})),
-        notes=tuple(notes) if type(notes) is list else notes,  # the check rejects a non-tuple
+        notes=_parse_notes(raw.get("notes", ())),  # read last, so every other parse error comes first
     )
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import types
 from decimal import Decimal
 
 import pytest
@@ -510,6 +511,17 @@ def test_int_and_float_cells_give_the_lexicographic_optimum(name):
         assert float.hex(solved.total_cost) == float.hex(float(total))
 
 
+def test_non_dyadic_cells_give_the_lexicographic_optimum():
+    # Only multiples of 7 are dyadic here, so the matrix is not marked and every cell is scaled
+    # by 2**54 into an int: the widest scaled solve of the fixed cases.
+    matrix = CostMatrix.from_rows([[(i + 1) * (j + 1) / 7 for j in range(200)] for i in range(200)])
+    assert not _marked(matrix)
+    best, mapping = lexicographic_optimum(matrix.entries)
+    solved = solve_assignment(matrix)
+    assert solved.mapping == mapping
+    assert float.hex(solved.total_cost) == float.hex(float(best))
+
+
 def short_side_matrices():
     """Integer matrices with no more rows than columns: entries 0-3 (ties),
     0-1000, or of any magnitude up to 2**80 (a wide range)."""
@@ -818,3 +830,15 @@ def test_constructor_and_from_rows_accept_the_same_rows(rows):
         assert outcomes[0] == tuple(tuple(float(cell) for cell in row) for row in rows)
     else:
         assert isinstance(outcomes[0], str)
+
+
+def test_per_solve_functions_run_no_comprehension_frames_and_hold_no_cells():
+    # Before Python 3.12 each comprehension or generator expression is a nested code object run as
+    # a call of its own, and each local of the enclosing function that it reads is a closure cell,
+    # which every access goes through. The solve runs its per-row work in plain loops instead, so it
+    # pays neither. PEP 709 inlines comprehensions from 3.12 on, so the 3.10 and 3.11 legs of CI are
+    # the ones this test guards.
+    for function in (solve_assignment, dispatch._shortest_paths, dispatch._tie_break, dispatch._scaled_costs):
+        code = function.__code__
+        assert not [c for c in code.co_consts if isinstance(c, types.CodeType)], function.__name__
+        assert code.co_cellvars == (), function.__name__

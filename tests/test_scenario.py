@@ -289,6 +289,14 @@ def test_notes_must_be_strings():
         scenario_from_dict(raw)
 
 
+@pytest.mark.parametrize("notes", ["hi", None, 5, {"a": "b"}])
+def test_notes_must_be_a_json_list(notes):
+    # JSON has no tuples: a file's notes that are not a list are named as a list is, as pv_arrays are
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_json(json.dumps(make_scenario_dict(notes=notes)))
+    assert (excinfo.value.field, str(excinfo.value)) == ("notes", "notes must be a list")
+
+
 def test_invalid_json_reported():
     with pytest.raises(ValidationError, match="invalid JSON"):
         scenario_from_json("{not json")
@@ -996,7 +1004,8 @@ PV = {"panel_area": 100.0, "module_efficiency": 0.2}
 
 #: Documents with two defects, and the error found first. The first two are as before
 #: records were read in one walk: key and type errors of every record come before any range
-#: error. The JSON shape of a list is found before the Scenario's checks of a name or notes.
+#: error. The JSON shape of a list is found before the Scenario's checks of a name or notes;
+#: notes that are no list are found after every other parse error, before those checks.
 TWO_DEFECTS = [
     (
         make_scenario_dict(
@@ -1028,13 +1037,20 @@ TWO_DEFECTS = [
         "renewables.source",
         "renewables.source must be one of ['explicit', 'from_pv_wind_models'], got 1",
     ),
+    (
+        make_scenario_dict(
+            notes="hi", shares={"equipment_share": 0.5, "transport_share": 0.3, "buildings_share": 0.3}
+        ),
+        "notes",
+        "notes must be a list",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "raw, field, message",
     TWO_DEFECTS,
-    ids=["range-and-key", "type-and-sum", "assets-and-name", "matrix-and-notes", "source-and-notes"],
+    ids=["range-and-key", "type-and-sum", "assets-and-name", "matrix-and-notes", "source-and-notes", "notes-and-sum"],
 )
 def test_the_first_of_two_defects_is_reported(raw, field, message):
     with pytest.raises(ValidationError) as excinfo:
