@@ -4,7 +4,7 @@ Subcommands: ``validate`` a scenario file, ``run`` a simulation, solve a
 standalone ``dispatch`` problem from a CSV grid, and list bundled
 ``presets``. For ``validate``, ``run`` and ``dispatch`` the input is a file
 path; ``validate`` and ``run`` also accept a preset name (an existing file
-of the same name wins).
+of the same name wins, and a preset name wins over a directory).
 
 The ``run`` data stream (stdout or ``--output``) carries exactly the
 serialized report bytes; the human-readable summary and all error messages
@@ -51,11 +51,13 @@ def _report_format(text: str) -> str:
 
 
 def _load_input(name_or_path: str) -> Scenario:
-    if os.path.isfile(name_or_path):
-        from .scenario import load_scenario
-        return load_scenario(name_or_path)
-    from .presets import get_preset
-    return get_preset(name_or_path)
+    """A file wins over a preset of its name, and a preset over any other path that exists."""
+    if not os.path.isfile(name_or_path):
+        from .presets import PRESETS, get_preset
+        if name_or_path in PRESETS or not os.path.exists(name_or_path):
+            return get_preset(name_or_path)
+    from .scenario import load_scenario
+    return load_scenario(name_or_path)  # a directory, say, fails here as a read error
 
 
 class _WriteError(PortsimError):
@@ -104,11 +106,10 @@ def _cmd_run(source: str, format: str = "json", output: str | None = None,
 
 
 def _cmd_dispatch(source: str, output: str | None = None) -> int:
-    from .dispatch import load_cost_matrix, solve_assignment
+    from .dispatch import format_number, load_cost_matrix, solve_assignment
     assignment = solve_assignment(load_cost_matrix(source))
     lines = [f"{i} -> {'unassigned' if j is None else j}" for i, j in enumerate(assignment.mapping)]
-    total = assignment.total_cost
-    lines.append(f"total {int(total) if total == int(total) else repr(total)}")
+    lines.append(f"total {format_number(assignment.total_cost)}")
     _emit(("\n".join(lines) + "\n").encode("utf-8"), output)
     return 0
 

@@ -231,6 +231,13 @@ def _total(selected: Iterable[float]) -> float:
         raise DispatchError("total cost overflows") from None
 
 
+def format_number(value: float) -> str:
+    """``value`` as portsim prints it: integral and below 1e15 in magnitude, with no ``.0``; else its ``repr``."""
+    if -1e15 < value < 1e15 and not value % 1:
+        return str(int(value))
+    return repr(value)
+
+
 def _scaled_costs(entries: tuple[tuple[float, ...], ...]) -> list[list[int]]:
     """The entries times one common power of two, as Python ints, on which
     the solve adds and compares exactly (an integral x gives ``int(x)``)."""

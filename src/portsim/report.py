@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 
 from ._record import asdict, record
-from .dispatch import Assignment, solve_assignment
+from .dispatch import Assignment, format_number, solve_assignment
 from .economics import CostReport, cost_report
 from .emissions import EmissionsResult, evaluate_emissions
 from .energy import EnergyResult, evaluate_energy
@@ -274,19 +274,12 @@ def _write_json(record: Any, section: tuple, out: list[str]) -> None:
     out.append(close)
 
 
-def _format_value(value: float) -> str:
-    """Integral values print without a trailing ``.0``; others at full precision."""
-    if -1e15 < value < 1e15 and not value % 1:
-        return str(int(value))
-    return repr(value)
-
-
 def _csv_rows(record: Any, rows: tuple, out: list[str]) -> None:
     values = record.__dict__
     for name, kind, info in rows:
         value = values[name]
         if type(kind) is str:
-            out.append(f"{kind},{_format_value(value)},{info}")
+            out.append(f"{kind},{format_number(value)},{info}")
         elif kind is not None and value is not None:
             _csv_rows(value, info, out)
 
@@ -317,11 +310,11 @@ def summarize(report: SimulationReport) -> str:
     e, m, c = report.energy, report.emissions, report.costs
     lines = [
         f"scenario: {_printable(report.scenario_name)}",
-        f"  energy: {_format_value(e.baseline_total)} -> {_format_value(e.optimized_total)} MWh"
+        f"  energy: {format_number(e.baseline_total)} -> {format_number(e.optimized_total)} MWh"
         f" ({e.reduction_fraction:.1%} lower)",
-        f"  emissions: {_format_value(m.baseline_emissions)} -> "
-        f"{_format_value(m.optimized_emissions)} kg CO2"
-        f" ({_format_value(m.reduction)} kg avoided)",
+        f"  emissions: {format_number(m.baseline_emissions)} -> "
+        f"{format_number(m.optimized_emissions)} kg CO2"
+        f" ({format_number(m.reduction)} kg avoided)",
         f"  carbon intensity: {m.baseline_intensity:.2f} -> {m.optimized_intensity:.2f} kg CO2/MWh",
         f"  substitution efficiency: {m.substitution_efficiency:.2f} kg CO2/MWh",
     ]
@@ -333,11 +326,11 @@ def summarize(report: SimulationReport) -> str:
     if report.assignment is not None:
         mapping = enumerate(report.assignment.mapping)
         pairs = ", ".join(f"{i}->{'unassigned' if j is None else j}" for i, j in mapping)
-        lines.append(f"  dispatch: total {_format_value(report.assignment.total_cost)} ({pairs})")
+        lines.append(f"  dispatch: total {format_number(report.assignment.total_cost)} ({pairs})")
     lines.append(
         f"  cost: ${c.total_baseline / 1e6:.1f}M -> ${c.total_optimized / 1e6:.1f}M"
         f" (savings ${c.total_savings / 1e6:.1f}M, {c.savings_fraction:.1%})"
     )
-    lines.append(f"  objective score: {_format_value(report.objective.total)}")
+    lines.append(f"  objective score: {format_number(report.objective.total)}")
     lines += [f"  note: {_printable(flag)}" for flag in report.flags]
     return "\n".join(lines)

@@ -83,6 +83,26 @@ def test_dispatch_reports_unassigned_rows(tmp_path, capsys):
     assert "total 4" in out
 
 
+@pytest.mark.parametrize(
+    "grid, total",
+    [
+        ("1e300,1e300\n1e300,1e300\n", "2e+300"),
+        ("5e14,1e15\n1e15,5e14\n", "1000000000000000.0"),
+        ("5e14,1e15\n1e15,499999999999999\n", "999999999999999"),
+    ],
+)
+def test_dispatch_prints_its_total_as_the_report_does(tmp_path, capsys, grid, total):
+    path = tmp_path / "grid.csv"
+    path.write_text(grid)
+    assert main(["dispatch", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"total {total}"
+    matrix = [[float(cell) for cell in line.split(",")] for line in grid.splitlines()]
+    assert main(["run", str(write_scenario(tmp_path, dispatch_matrix=matrix)), "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert f"\ndispatch_total_cost,{total},km\n" in captured.out
+    assert f"  dispatch: total {total} (" in captured.err
+
+
 def test_presets_lists_bundled_scenarios(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
@@ -93,6 +113,21 @@ def test_presets_lists_bundled_scenarios(capsys):
 def test_unknown_preset_is_a_validation_error(capsys):
     assert main(["run", "atlantis"]) == 1
     assert "unknown preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "dispatch"])
+def test_a_directory_is_a_read_error(tmp_path, monkeypatch, capsys, command):
+    (tmp_path / "somedir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "./somedir"]) == 1
+    assert capsys.readouterr().err.startswith("cli: cannot read input: [Errno 21] Is a directory")
+
+
+def test_a_preset_name_wins_over_a_directory(tmp_path, monkeypatch, capsys):
+    (tmp_path / "yangshan-phase4").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "yangshan-phase4"]) == 0
+    assert capsys.readouterr().out == "valid: yangshan-phase4\n"
 
 
 def test_missing_file_is_an_input_error(capsys):

@@ -522,6 +522,34 @@ def test_non_dyadic_cells_give_the_lexicographic_optimum():
     assert float.hex(solved.total_cost) == float.hex(float(best))
 
 
+#: kind -> a cell drawn from a seeded ``random.Random``: ties, a wide range (0-3 beside ints up
+#: to 3 * 2**60, which the build rounds to floats, and 1e-9-scale floats) or uniform floats.
+ORACLE_CELLS = {
+    "ties": lambda rng: rng.randint(0, 2),
+    "wide-range": lambda rng: (rng.randint(0, 3), rng.randint(0, 3 * 2**60), rng.random() * 1e-9)[rng.randrange(3)],
+    "uniform": lambda rng: rng.random(),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(8, 40),
+    other=st.integers(1, 40),
+    tall=st.booleans(),
+    kind=st.sampled_from(sorted(ORACLE_CELLS)),
+    seed=st.integers(0, 2**32),
+)
+def test_solve_is_the_lexicographic_optimum_past_enumeration(n, other, tall, kind, seed):
+    # the longer side is past enumeration's 7; the shorter one is n more often than not
+    rows, cols = (n, min(other, n)) if tall else (min(other, n), n)
+    rng = random.Random(seed)
+    matrix = CostMatrix.from_rows([[ORACLE_CELLS[kind](rng) for _ in range(cols)] for _ in range(rows)])
+    best, mapping = lexicographic_optimum(matrix.entries)
+    solved = solve_assignment(matrix)
+    assert solved.mapping == mapping
+    assert float.hex(solved.total_cost) == float.hex(float(best))
+
+
 def short_side_matrices():
     """Integer matrices with no more rows than columns: entries 0-3 (ties),
     0-1000, or of any magnitude up to 2**80 (a wide range)."""

@@ -1,11 +1,13 @@
 import ast
 import copy
 import fnmatch
+import importlib
 import inspect
 import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -739,6 +741,36 @@ def test_the_readme_field_reference_agrees_with_the_tables():
         prefix, _, pattern = key.rpartition(".")
         fields = [cls.__match_args__ for cls, _, where in TABLES if where == prefix]
         assert not prefix or any(fnmatch.filter(names, pattern) for names in fields), key
+
+
+def readme_ledger():
+    """The README's fast-path ledger: (fast path, rests on, pinned by, buys) per row."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = text.split("| fast path | rests on | pinned by | buys |", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in rows.splitlines()[2:]]
+
+
+def test_the_readme_ledger_names_code_and_tests_that_exist():
+    root = Path(__file__).resolve().parent.parent
+    rows = readme_ledger()
+    assert rows
+    for path, _, pinned, buys in rows:
+        names = re.findall(r"`([^`]+)`", path)
+        assert names, path
+        for name in names:  # every name in this column is portsim's: module.attribute, or portsim.attribute
+            module, *attrs = name.split(".")
+            found = importlib.import_module("portsim" if module == "portsim" else f"portsim.{module}")
+            for attr in attrs:
+                assert hasattr(found, attr), f"{name} is gone"
+                found = getattr(found, attr)
+        nodes = re.findall(r"`([^`]+)`", pinned)
+        assert nodes, pinned
+        for node in nodes:
+            file, _, test = node.partition("::")
+            assert file.startswith("tests/") and test.startswith("test_"), node
+            tree = ast.parse((root / file).read_text(encoding="utf-8"))
+            assert test in {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}, f"{node} is gone"
+        assert re.search(r"\bPR \d+\b", buys), f"no source for {buys}"  # the change that measured it
 
 
 def test_a_null_new_green_energy_is_rejected():
