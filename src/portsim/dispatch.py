@@ -41,7 +41,7 @@ import itertools
 import math
 
 from ._record import record
-from .errors import DispatchError
+from .errors import DispatchError, _detached
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -207,21 +207,25 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
 def load_cost_matrix(path: str | PathLike[str]) -> CostMatrix:
     """Read a matrix from a comma-separated numeric grid, one row per line."""
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read().removeprefix("\ufeff")  # spreadsheet "CSV UTF-8" exports start with a BOM
-        except UnicodeDecodeError as exc:
-            raise DispatchError(f"not UTF-8 text: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(cell) for cell in line.split(",")])
-        except ValueError as exc:
-            raise DispatchError(f"line {lineno}: {exc}") from None
-    if not rows:
-        raise DispatchError("matrix file contains no rows")
-    return CostMatrix.from_rows(rows)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                text = fh.read().removeprefix("\ufeff")  # spreadsheet "CSV UTF-8" exports start with a BOM
+            except UnicodeDecodeError as exc:
+                raise DispatchError(f"not UTF-8 text: {exc}") from None
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append([float(cell) for cell in line.split(",")])
+            except ValueError as exc:
+                raise DispatchError(f"line {lineno}: {exc}") from None
+        if not rows:
+            raise DispatchError("matrix file contains no rows")
+        return CostMatrix.from_rows(rows)
+    except DispatchError as exc:
+        rows = text = line = None  # the error keeps this frame, but not the file's text or rows
+        raise _detached(exc)
 
 
 def _total(selected: Iterable[float]) -> float:

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 Every error carries the name of the subsystem that raised it so the CLI
-can report provenance without inspecting tracebacks.
+can report provenance without inspecting tracebacks. A public reader
+raises its error again from its own frame, through ``_detached``: the
+traceback starts at the function the caller called, and holds neither
+the frames that parsed the input nor the document or file text they read.
 """
 
 from __future__ import annotations
@@ -31,3 +34,10 @@ class DispatchError(PortsimError, ValueError):
     """Invalid input to the assignment solver or its oracle."""
 
     module = "dispatch"
+
+
+def _detached(error: PortsimError) -> PortsimError:
+    """``error`` with no traceback, and without the context it hides (``raise ... from None``)."""
+    if error.__suppress_context__:
+        error.__context__ = None
+    return error.with_traceback(None)

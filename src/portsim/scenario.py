@@ -49,7 +49,7 @@ import sys
 from . import renewables as renewables_model
 from ._record import asdict, record, replace
 from .dispatch import CostMatrix
-from .errors import DispatchError, ValidationError
+from .errors import DispatchError, ValidationError, _detached
 from .objective import ObjectiveWeights
 
 TYPE_CHECKING = False
@@ -610,25 +610,29 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     Unknown or missing keys, numbers that are not finite JSON numbers, and
     assets or a matrix that are not JSON arrays are rejected while parsing;
     every other invariant is checked as the Scenario is built. Either way a
-    :class:`ValidationError` names the field.
+    :class:`ValidationError` names the field, raised from this frame.
     """
-    _check_keys(raw, _SCENARIO_KEYS, _SCENARIO_REQUIRED, "scenario")
-    pv_arrays = _parse_assets(raw, "pv_arrays", PvArraySpec.create, _PV)
-    wind_turbines = _parse_assets(raw, "wind_turbines", WindTurbineSpec.create, _WIND)
+    try:
+        _check_keys(raw, _SCENARIO_KEYS, _SCENARIO_REQUIRED, "scenario")
+        pv_arrays = _parse_assets(raw, "pv_arrays", PvArraySpec.create, _PV)
+        wind_turbines = _parse_assets(raw, "wind_turbines", WindTurbineSpec.create, _WIND)
 
-    return Scenario(
-        name=raw["name"],
-        throughput=_parse_record(raw["throughput"], ThroughputSpec, _THROUGHPUT, "throughput"),
-        shares=_parse_record(raw["shares"], SectorShares, _SHARES, "shares"),
-        factors=_parse_record(raw["factors"], EmissionFactorSet, _FACTORS, "factors"),
-        renewables=_parse_renewables(raw["renewables"], pv_arrays, wind_turbines),
-        costs=_parse_record(raw["costs"], CostParameters, _COSTS, "costs"),
-        pv_arrays=pv_arrays,
-        wind_turbines=wind_turbines,
-        dispatch_matrix=_parse_matrix(raw.get("dispatch_matrix")),
-        objective_weights=_parse_weights(raw.get("objective_weights", {})),
-        notes=_parse_notes(raw.get("notes", ())),  # read last, so every other parse error comes first
-    )
+        return Scenario(
+            name=raw["name"],
+            throughput=_parse_record(raw["throughput"], ThroughputSpec, _THROUGHPUT, "throughput"),
+            shares=_parse_record(raw["shares"], SectorShares, _SHARES, "shares"),
+            factors=_parse_record(raw["factors"], EmissionFactorSet, _FACTORS, "factors"),
+            renewables=_parse_renewables(raw["renewables"], pv_arrays, wind_turbines),
+            costs=_parse_record(raw["costs"], CostParameters, _COSTS, "costs"),
+            pv_arrays=pv_arrays,
+            wind_turbines=wind_turbines,
+            dispatch_matrix=_parse_matrix(raw.get("dispatch_matrix")),
+            objective_weights=_parse_weights(raw.get("objective_weights", {})),
+            notes=_parse_notes(raw.get("notes", ())),  # read last, so every other parse error comes first
+        )
+    except ValidationError as exc:
+        raw = None  # the error keeps this frame, but not the document
+        raise _detached(exc)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
@@ -669,21 +673,27 @@ def _loads(text: str) -> Any:
 
 def scenario_from_json(text: str) -> Scenario:
     try:
-        raw = _loads(text)
-    # JSONDecodeError, an int beyond Python's digit limit, or nesting too deep
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError("scenario", f"invalid JSON: {exc}") from None
-    return scenario_from_dict(raw)
+        try:
+            raw = _loads(text)
+        # JSONDecodeError, an int beyond Python's digit limit, or nesting too deep
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError("scenario", f"invalid JSON: {exc}") from None
+        return scenario_from_dict(raw)
+    except ValidationError as exc:
+        raw = None  # the error keeps this frame, but not the document
+        raise _detached(exc)
 
 
 def load_scenario(path: str | PathLike[str]) -> Scenario:
     """Read a scenario file; the Scenario it returns is checked and valid."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read().removeprefix("\ufeff")  # as ``load_cost_matrix`` reads a grid
-        except UnicodeDecodeError as exc:
-            raise ValidationError("scenario", f"not UTF-8 text: {exc}") from None
-    return scenario_from_json(text)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:  # the text is read as ``load_cost_matrix`` reads a grid, and kept in no local
+                return scenario_from_json(fh.read().removeprefix("\ufeff"))
+            except UnicodeDecodeError as exc:
+                raise ValidationError("scenario", f"not UTF-8 text: {exc}") from None
+    except ValidationError as exc:
+        raise _detached(exc)
 
 
 def with_shares(scenario: Scenario, shares: SectorShares) -> Scenario:

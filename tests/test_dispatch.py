@@ -1,8 +1,10 @@
 import math
 import random
 import re
+import sys
 import types
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -870,3 +872,82 @@ def test_per_solve_functions_run_no_comprehension_frames_and_hold_no_cells():
         code = function.__code__
         assert not [c for c in code.co_consts if isinstance(c, types.CodeType)], function.__name__
         assert code.co_cellvars == (), function.__name__
+
+
+#: One-line mutations of ``dispatch.py``, as (what, the source it changes, the mutant source). Each
+#: must make some case of ``mutation_cases`` disagree with ``lexicographic_optimum``: in its mapping,
+#: its ``float.hex`` total, or, for the mark guard, in whether the matrix is marked, against the bound
+#: taken in ints. At the bound every value the solve makes is still an exact float (2**53 is one), so
+#: the mark is all that mutant changes. A refactor that moves a pattern updates this list.
+MUTATIONS = [
+    ("_tie_break's candidate skip", "if k < i or seen[k]:", "if seen[k]:"),
+    ("_tie_break's row skip", "if tight[i][0] == target:", "if tight[i][0] <= target:"),
+    ("_tie_break's j >= target", "if j >= target:", "if j >= target - 1:"),
+    ("_alternating_path's k > i", "if k > i and not seen[k]:", "if k != i and not seen[k]:"),
+    ("_alternating_path's k > i, past row i + 1", "if k > i and not seen[k]:", "if k > i + 1 and not seen[k]:"),
+    ("the free-line partner range", "for b in range(n):", "for b in range(n - 1):"),
+    ("the mapping's j < n_cols", "if j < n_cols:", "if j <= n_cols:"),
+    ("the mark guard", ") + 2) < 2**53", ") + 2) <= 2**53"),
+    ("the row minima for a tall matrix", "rows if len(rows) <= len(rows[0]) else zip(*rows)", "rows"),
+]
+
+#: ``_shortest_paths``'s tie rule changes no mapping: the tight subgraph of any optimal duals holds
+#: every optimal assignment. ``test_shortest_paths_takes_a_free_column_on_a_tie`` catches it.
+TIE_RULE = ("if d < low or d == low and row4col[j] < 0 <= row4col[pick]:", "if d < low:")
+
+
+def mutation_cases():
+    """Seeded tie-heavy int matrices, 150 of any shape up to 9x9 and 20 square ones with n = 10-40
+    (only a longer path shows a skipped row i + 1), and int matrices whose total T has T * (n + 2)
+    exactly 2**53, so they sit on the mark's bound."""
+    rng = random.Random("mutations")
+    shapes = [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(150)]
+    shapes += [(n, n) for n in (rng.randint(10, 40) for _ in range(20))]
+    cases = [[[rng.randint(0, 2) for _ in range(cols)] for _ in range(rows)] for rows, cols in shapes]
+    for rows, cols in ((2, 2), (2, 1), (6, 6), (3, 6), (6, 3)):
+        total = 2**53 // (max(rows, cols) + 2)
+        cells = [rng.randint(0, total // (rows * cols)) for _ in range(rows * cols - 1)]
+        cells.append(total - sum(cells))
+        cases.append([cells[i * cols:(i + 1) * cols] for i in range(rows)])
+    return cases
+
+
+def dispatch_variant(source):
+    """``source`` run as a throwaway module; ``portsim.dispatch`` stays as it is."""
+    module = types.ModuleType("portsim._dispatch_variant")
+    module.__package__ = "portsim"  # for its relative imports
+    exec(compile(source, dispatch.__file__, "exec"), module.__dict__)
+    return module
+
+
+def variant_outcome(module, entries):
+    try:
+        matrix = module.CostMatrix(entries=entries)
+        solved = module.solve_assignment(matrix)
+    except Exception as exc:  # a mutant may crash
+        return repr(exc)
+    return solved.mapping, float.hex(solved.total_cost), _marked(matrix)
+
+
+def test_the_oracles_catch_each_one_line_mutation_of_the_solver(monkeypatch):
+    source = Path(dispatch.__file__).read_text(encoding="utf-8")
+    cases = mutation_cases()
+    expected = []
+    for entries in cases:
+        best, mapping = lexicographic_optimum(entries)
+        bound = sum(map(sum, entries)) * (max(len(entries), len(entries[0])) + 2) < 2**53
+        expected.append((mapping, float.hex(float(best)), bound))
+    assert [variant_outcome(dispatch_variant(source), entries) for entries in cases] == expected
+    for what, pattern, mutant in MUTATIONS:
+        assert source.count(pattern) == 1, what
+        variant = dispatch_variant(source.replace(pattern, mutant))
+        assert any(variant_outcome(variant, e) != want for e, want in zip(cases, expected)), what
+
+    pattern, mutant = TIE_RULE
+    assert source.count(pattern) == 1
+    variant = dispatch_variant(source.replace(pattern, mutant))
+    assert [variant_outcome(variant, entries) for entries in cases] == expected
+    monkeypatch.setitem(globals(), "_shortest_paths", variant._shortest_paths)
+    with pytest.raises(AssertionError):
+        test_shortest_paths_takes_a_free_column_on_a_tie()
+    assert sys.modules["portsim.dispatch"] is dispatch

@@ -1,0 +1,140 @@
+import gc
+import json
+import math
+import types
+
+import pytest
+
+from portsim import (
+    DispatchError,
+    ValidationError,
+    get_preset,
+    load_cost_matrix,
+    load_scenario,
+    report_from_json,
+    report_to_dict,
+    run_scenario,
+    scenario_from_dict,
+    scenario_from_json,
+    scenario_to_dict,
+)
+from portsim.report import report_from_dict
+
+
+def shares_sum_document():
+    raw = scenario_to_dict(get_preset("yangshan-phase4"))  # a matrix and notes, so it is worth keeping
+    raw["shares"]["buildings_share"] = 0.5
+    return raw
+
+
+def nan_report_document():
+    raw = report_to_dict(run_scenario(get_preset("yangshan-phase4")))
+    raw["objective"]["total"] = math.nan
+    return raw
+
+
+def overflow_document():
+    raw = scenario_to_dict(get_preset("yangshan-phase4"))  # every input is in range; the report overflows
+    raw["throughput"] = {"teu_per_year": 1e10, "unit_energy": 1e10}
+    raw["factors"]["buildings_factor"] = 1e300
+    return raw
+
+
+def negative_cell_rows():
+    return [[4.0, 1.0, 7.0], [2.0, -3.0, 5.0], [6.0, 0.0, 2.0]]
+
+
+def itself(raw):
+    return raw
+
+
+def json_text(raw):
+    return json.dumps(raw, indent=2)
+
+
+def truncated(raw):
+    return json_text(raw)[:-40]
+
+
+def not_utf8(raw):
+    return json_text(raw).encode("utf-8") + b"\xff"
+
+
+def grid(rows):
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def grid_with_a_word(rows):
+    return grid(rows).replace("5.0", "five")
+
+
+def grid_not_utf8(rows):
+    return grid(rows).encode("utf-8") + b"\xff"
+
+
+#: (reader, the document it rejects, what the reader is given, made from that document). The two
+#: file readers are given a file that holds it.
+CASES = {
+    "shares-sum-dict": (scenario_from_dict, shares_sum_document, itself),
+    "shares-sum-json": (scenario_from_json, shares_sum_document, json_text),
+    "shares-sum-file": (load_scenario, shares_sum_document, json_text),
+    "truncated-json": (scenario_from_json, shares_sum_document, truncated),
+    "truncated-file": (load_scenario, shares_sum_document, truncated),
+    "not-utf8-file": (load_scenario, shares_sum_document, not_utf8),
+    "nan-report-dict": (report_from_dict, nan_report_document, itself),
+    "nan-report-json": (report_from_json, nan_report_document, json_text),
+    "truncated-report-json": (report_from_json, nan_report_document, truncated),
+    "negative-cell-grid": (load_cost_matrix, negative_cell_rows, grid),
+    "word-in-grid": (load_cost_matrix, negative_cell_rows, grid_with_a_word),
+    "not-utf8-grid": (load_cost_matrix, negative_cell_rows, grid_not_utf8),
+    "overflow-report": (run_scenario, overflow_document, scenario_from_dict),
+}
+
+
+def reachable(error, reader):
+    """Every object reachable from ``error`` by ``gc.get_referents``, entering no module,
+    function, code object or class, and no frame but the reader's: the caller's own frame
+    holds the input it passed, and so does whatever called it."""
+    seen, stack, found = set(), [error], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (types.ModuleType, types.FunctionType, types.CodeType, type)):
+            continue
+        if isinstance(obj, types.FrameType) and obj.f_code is not reader.__code__:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_kept_error_holds_no_input_it_rejected(tmp_path, case):
+    reader, build, form = CASES[case]
+    document = build()
+    given, text = form(document), None
+    if reader in (load_scenario, load_cost_matrix):
+        text, given = given, tmp_path / "input"
+        given.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    try:
+        reader(given)
+    except (ValidationError, DispatchError) as exc:
+        error = exc
+    else:
+        pytest.fail(f"{case} was accepted")
+
+    frames = []
+    tb = error.__traceback__
+    while tb is not None:
+        frames.append(tb.tb_frame.f_code)
+        tb = tb.tb_next
+    assert frames == [test_a_kept_error_holds_no_input_it_rejected.__code__, reader.__code__]
+    assert error.__context__ is None or not error.__suppress_context__
+
+    shown = repr(document)  # a NaN is not equal to itself, but it reads as itself
+    for obj in reachable(error, reader):
+        assert obj is not document
+        if type(obj) is type(document) and len(obj) == len(document):
+            assert repr(obj) != shown, f"{case}: the error keeps its parsed document"
+        if text is not None:
+            assert obj != text, f"{case}: the error keeps the file's text"

@@ -771,6 +771,13 @@ def test_the_readme_ledger_names_code_and_tests_that_exist():
             tree = ast.parse((root / file).read_text(encoding="utf-8"))
             assert test in {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}, f"{node} is gone"
         assert re.search(r"\bPR \d+\b", buys), f"no source for {buys}"  # the change that measured it
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    for name in sorted(set(re.findall(r"\bBENCH_\d+\.json\b", readme))):  # each cited BENCH file, run by run
+        runs = json.loads((root / name).read_text(encoding="utf-8"))["runs"]
+        assert runs, name
+        for run in runs:  # the harness's own last line, kept verbatim
+            result = json.loads(run["line"])
+            assert (result["correct"], result["failed"]) == (True, 0), (name, run["command"])
 
 
 def test_a_null_new_green_energy_is_rejected():
