@@ -11,9 +11,11 @@ The solver finds an exact optimum in O(n^3) for n = max(rows, cols):
 * A shortest-augmenting-path solve in the rectangular form of Crouse
   (2016) matches every row of the shorter side (a tall matrix is solved
   as its transpose) with no padding. It starts from the row minima (a
-  marked matrix carries them), seats each row on its first free cheapest
-  column and, in each search, takes a free column among equally near
-  ones, as Jonker & Volgenant (1987) do, which keeps tie-heavy matrices
+  marked matrix carries them) and seats each row on its first free
+  cheapest column; on a square matrix each column left free then takes
+  its least reduced cost as its dual and seats a free row there (Jonker &
+  Volgenant's 1987 column reduction). Each search takes a free column
+  among equally near ones, as they do, which keeps tie-heavy matrices
   fast. Its duals are optimal, and zero on every column it leaves free.
 * The tie-break works on the real lines too. Each line the solve leaves
   free has a zero partner with a zero dual, so the duals stay optimal, but
@@ -64,11 +66,14 @@ class CostMatrix:
     take no ``float.is_integer`` pass; any other T is the ``math.fsum`` of
     the floats, correctly rounded, so exact below 2**53 and not rounded
     under the bound from above it. Every entry C is then at most T, and the
-    solve runs on these floats: its greedy start moves no dual, and each
-    search raises the matched cost by at least its ``low`` and at most C
-    (the new row can take a column the old optimum left free), so v >= -n*C,
-    u <= (n+1)*C, and every ``dist`` and ``row[j] - u[i]`` stays within
-    (n+2)*C < 2**53, where float sums and comparisons of integers are exact.
+    solve runs on these floats. Its start sets u to the row minima, and v
+    in [0, C] (a square matrix raises a free column's v to its least
+    c - u). A search's ``low``, its path's reduced length, is the rise in
+    matched cost less u[start] + v[free] >= 0, so the lows sum to at most
+    the optimum, n*C, and v, falling at most a low a search, stays >= -n*C.
+    So u = c - v <= (n+1)*C, each ``dist`` (a low plus c - u - v) is at
+    most (n+1)*C, and every sum stays within (n+2)*C < 2**53, where float
+    sums and comparisons of integers are exact.
     The mark holds the solve's starting duals, the line minima as floats.
     Other matrices take ``_scaled_costs``.
     """
@@ -99,7 +104,11 @@ class CostMatrix:
         except (TypeError, ValueError, ArithmeticError):  # also an int past range, a Decimal NaN
             valid = False
         if not valid:  # raises for any cell float() rejected, so ``entries`` is set below; passes
-            _check_cells(rows)  # valid cells that only sum past the range or that min cannot compare
+            try:  # valid cells that only sum past the range or that min cannot compare
+                _check_cells(rows)
+            except DispatchError as exc:  # raised again from here, keeping none of the lists built above
+                rows = entries = mins = None
+                raise _detached(exc)
         self.__dict__["entries"] = entries
         if valid and total * (max(len(rows), len(rows[0])) + 2) < 2**53 and (
             total.__class__ is int or all(map(float.is_integer, itertools.chain(*entries)))
@@ -271,10 +280,12 @@ def _shortest_paths(
     ``u`` starts at the row minima, given (and raised in place) or taken
     here, and ``v`` at zero, and each row first takes the first free column
     among its cheapest ones: every greedy pair is tight, so the certificate
-    holds from the start, and no dual moves, as the bound proved by
-    ``CostMatrix`` requires. The rows left over search one by one, and a
-    free column wins a tie in distance. ``v`` falls only on columns a search
-    reaches, which stay matched, so it is zero on every free column.
+    holds from the start. On a square matrix each column left free then
+    raises ``v`` to its least reduced cost and seats the first free row
+    that attains it, which keeps the certificate (a wide matrix's zero
+    rows need ``v <= 0``). The rows left over search one by one, and a
+    free column wins a tie in distance. ``v`` falls only on columns a
+    search reaches, which stay matched, so it is zero on every free column.
     """
     u = list(map(min, cost)) if u is None else u
     zero = type(u[0])()  # duals of the costs' own type: no mixed int/float sums
@@ -290,8 +301,20 @@ def _shortest_paths(
             continue
         col4row[i] = j
         row4col[j] = i
+    if len(cost) == nc:  # square: each free column's dual rises to its least reduced cost; a free row there sits
+        for j in range(nc):
+            if row4col[j] < 0:
+                best, seat = math.inf, -1
+                for i, row in enumerate(cost):
+                    r = row[j] - u[i]
+                    if r < best or r == best and seat < 0:  # the first free row among the cheapest
+                        best, seat = r, i if col4row[i] < 0 else -1
+                v[j] = best
+                if seat >= 0:
+                    col4row[seat] = j
+                    row4col[j] = seat
     path = [0] * nc
-    for start in range(len(cost)):  # each row the greedy start left free: a search seats only its own
+    for start in range(len(cost)):  # each row the start left free: a search seats only its own
         if col4row[start] >= 0:
             continue
         dist: list[float] = [math.inf] * nc

@@ -92,7 +92,8 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         return SimulationReport(
             scenario.name, energy, emissions, generation, assignment, costs, objective, tuple(flags)
         )
-    except ValidationError as exc:  # raised again from here, without the report's frames
+    except ValidationError as exc:  # raised again from here, without the report's frames or records
+        energy = emissions = assignment = costs = objective = flags = None
         raise _detached(exc)
 
 

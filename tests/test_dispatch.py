@@ -464,6 +464,35 @@ def test_every_assignment_of_i_plus_j_ties(rows, cols):
     assert solved.total_cost == k * (k - 1)
 
 
+#: The first statement of each search in ``_shortest_paths``, where ``searches`` counts them.
+SEARCH_START = "dist: list[float] = [math.inf] * nc"
+
+
+def searches(matrices):
+    """How many searches ``solve_assignment`` runs over ``matrices``, counted by a copy of the
+    solver that adds one to a counter as each search starts."""
+    source = Path(dispatch.__file__).read_text(encoding="utf-8")
+    assert source.count(SEARCH_START) == 1
+    variant = dispatch_variant(source.replace(SEARCH_START, "SEARCHES[0] += 1; " + SEARCH_START))
+    variant.SEARCHES = [0]
+    for rows in matrices:
+        variant.solve_assignment(variant.CostMatrix(entries=rows))
+    return variant.SEARCHES[0]
+
+
+def test_square_solves_stay_within_their_search_budget():
+    # Each search is an O(n^2) Python loop, and unlike a time, a count of them repeats on any
+    # machine. The column pass seats every row of i + j that the greedy start leaves (the start
+    # seats 1 of 200, and 199 searched before the pass). On 16x16 matrices like the fleet's, random
+    # and tie-heavy, it leaves fewer rows to search; the budgets are the counts with the pass, and
+    # were 182 and 72 before it. A change that searches more breaks them.
+    assert searches([[[i + j for j in range(200)] for i in range(200)]]) == 0
+    rng = random.Random("search-budget")
+    for hi, budget in ((1000, 122), (3, 67)):
+        matrices = [[[rng.randint(0, hi) for _ in range(16)] for _ in range(16)] for _ in range(32)]
+        assert searches(matrices) <= budget, hi
+
+
 @pytest.mark.parametrize("rows", range(1, 8))
 def test_lexicographic_optimum_is_the_enumerated_one(rows):
     # the oracle of the tests below, checked on every shape up to 7 per side
@@ -575,11 +604,15 @@ def short_side_matrices():
 @example(cost=[[0] * 8] * 3, as_floats=False)
 @example(cost=[[0 if j <= i else 1 for j in range(6)] for i in range(6)], as_floats=True)  # a collision chain
 @example(cost=[[0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1], [1, 1, 1, 0]], as_floats=False)  # row 2 passes two
-@example(cost=[[0, 1, 1], [0, 1, 1], [0, 0, 1]], as_floats=True)  # row 1's cheapest runs out: it searches
+@example(cost=[[0, 1, 1], [0, 1, 1], [0, 0, 1]], as_floats=True)  # column 2 ties rows 0 (seated) and 1: row 1 sits
+@example(cost=[[i + j for j in range(3)] for i in range(3)], as_floats=False)  # the column pass seats rows 1 and 2
+@example(cost=[[0, 1, 3], [0, 2, 3], [4, 4, 0]], as_floats=True)  # column 1 is raised to 1 but seats no row
 def test_shortest_paths_certificate(cost, as_floats):
-    # The duals certify the matching; v == 0 on free columns is what lets
-    # the tie-break give each free column a zero row (u = 0) and keep the
-    # duals optimal.
+    # The duals certify the matching. On a wide matrix, v <= 0 keeps each
+    # zero row (u = 0) feasible, and v == 0 on free columns keeps it tight
+    # there, so the tie-break can give each free column a zero row and keep
+    # the duals optimal. A square matrix has no zero rows, so its column
+    # pass may raise v above 0.
     nc = len(cost[0])
     if as_floats and max(map(max, cost)) * (nc + 2) < 2**53:  # the bound of the float solve
         cost = [[float(c) for c in row] for row in cost]
@@ -592,7 +625,8 @@ def test_shortest_paths_certificate(cost, as_floats):
         reduced = [c - u[i] - vj for c, vj in zip(row, v)]
         assert min(reduced) >= 0
         assert reduced[col4row[i]] == 0
-    assert all(vj <= 0 for vj in v)  # a zero row with u = 0 is feasible...
+    if len(cost) < nc:
+        assert all(vj <= 0 for vj in v)  # a zero row with u = 0 is feasible...
     assert all(vj == 0 for vj, i in zip(v, row4col) if i < 0)  # ...and tight on free columns
 
 
@@ -603,6 +637,15 @@ def test_shortest_paths_takes_a_free_column_on_a_tie():
     # scanning column 1 first would reach column 2 through row 1 and move
     # row 1 there. Both are optimal, so only the matching shows which rule ran.
     assert _shortest_paths([[0, 9, 9, 9], [9, 0, 0, 9], [0, 1, 9, 1]], 4)[0] == [0, 1, 3]
+
+
+def test_the_column_pass_seats_the_first_free_row_among_the_cheapest():
+    # The greedy start seats row 0 of i + j on column 0 only. Each free column's least reduced cost
+    # is tied by all three rows; column 1 skips row 0, which is seated, and takes row 1, and column 2
+    # takes row 2, so no row searches. Taking the last tied row would seat row 2 on column 1 and
+    # leave row 1 to search its way to column 2. Both are optimal, so only the matching shows it.
+    col4row, _, u, v = _shortest_paths([[i + j for j in range(3)] for i in range(3)], 3)
+    assert col4row == u == v == [0, 1, 2]
 
 
 def test_potential_invariance_row_and_column_shifts():
@@ -889,17 +932,34 @@ MUTATIONS = [
     ("the mapping's j < n_cols", "if j < n_cols:", "if j <= n_cols:"),
     ("the mark guard", ") + 2) < 2**53", ") + 2) <= 2**53"),
     ("the row minima for a tall matrix", "rows if len(rows) <= len(rows[0]) else zip(*rows)", "rows"),
+    ("the column pass seats a seated row", "best, seat = r, i if col4row[i] < 0 else -1", "best, seat = r, i"),
+    ("the column pass's v[j] = best", "v[j] = best", "pass"),
 ]
 
-#: ``_shortest_paths``'s tie rule changes no mapping: the tight subgraph of any optimal duals holds
-#: every optimal assignment. ``test_shortest_paths_takes_a_free_column_on_a_tie`` catches it.
-TIE_RULE = ("if d < low or d == low and row4col[j] < 0 <= row4col[pick]:", "if d < low:")
+#: Mutations that change no mapping, each with the targeted test that catches it: the tight subgraph
+#: of any optimal duals holds every optimal assignment, so neither the search's tie rule nor the row
+#: the column pass seats on a tie can change one.
+SILENT_MUTATIONS = [
+    (
+        "the search's tie rule",
+        "if d < low or d == low and row4col[j] < 0 <= row4col[pick]:",
+        "if d < low:",
+        "test_shortest_paths_takes_a_free_column_on_a_tie",
+    ),
+    (
+        "the column pass's first free row",
+        "if r < best or r == best and seat < 0:",
+        "if r <= best or r == best and seat < 0:",
+        "test_the_column_pass_seats_the_first_free_row_among_the_cheapest",
+    ),
+]
 
 
 def mutation_cases():
     """Seeded tie-heavy int matrices, 150 of any shape up to 9x9 and 20 square ones with n = 10-40
-    (only a longer path shows a skipped row i + 1), and int matrices whose total T has T * (n + 2)
-    exactly 2**53, so they sit on the mark's bound."""
+    (only a longer path shows a skipped row i + 1), int matrices whose total T has T * (n + 2)
+    exactly 2**53, so they sit on the mark's bound, and 20 square ones up to 9x9 with cells 0-9,
+    whose column pass more often raises a free column's dual above 0 and seats a row there."""
     rng = random.Random("mutations")
     shapes = [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(150)]
     shapes += [(n, n) for n in (rng.randint(10, 40) for _ in range(20))]
@@ -909,6 +969,8 @@ def mutation_cases():
         cells = [rng.randint(0, total // (rows * cols)) for _ in range(rows * cols - 1)]
         cells.append(total - sum(cells))
         cases.append([cells[i * cols:(i + 1) * cols] for i in range(rows)])
+    for n in (rng.randint(3, 9) for _ in range(20)):
+        cases.append([[rng.randint(0, 9) for _ in range(n)] for _ in range(n)])
     return cases
 
 
@@ -943,11 +1005,11 @@ def test_the_oracles_catch_each_one_line_mutation_of_the_solver(monkeypatch):
         variant = dispatch_variant(source.replace(pattern, mutant))
         assert any(variant_outcome(variant, e) != want for e, want in zip(cases, expected)), what
 
-    pattern, mutant = TIE_RULE
-    assert source.count(pattern) == 1
-    variant = dispatch_variant(source.replace(pattern, mutant))
-    assert [variant_outcome(variant, entries) for entries in cases] == expected
-    monkeypatch.setitem(globals(), "_shortest_paths", variant._shortest_paths)
-    with pytest.raises(AssertionError):
-        test_shortest_paths_takes_a_free_column_on_a_tie()
+    for what, pattern, mutant, test in SILENT_MUTATIONS:
+        assert source.count(pattern) == 1, what
+        variant = dispatch_variant(source.replace(pattern, mutant))
+        assert [variant_outcome(variant, entries) for entries in cases] == expected, what
+        monkeypatch.setitem(globals(), "_shortest_paths", variant._shortest_paths)
+        with pytest.raises(AssertionError):
+            globals()[test]()
     assert sys.modules["portsim.dispatch"] is dispatch

@@ -6,6 +6,7 @@ import types
 import pytest
 
 from portsim import (
+    CostMatrix,
     DispatchError,
     ValidationError,
     get_preset,
@@ -88,19 +89,25 @@ CASES = {
     "word-in-grid": (load_cost_matrix, negative_cell_rows, grid_with_a_word),
     "not-utf8-grid": (load_cost_matrix, negative_cell_rows, grid_not_utf8),
     "overflow-report": (run_scenario, overflow_document, scenario_from_dict),
+    "negative-cell-matrix": (CostMatrix, negative_cell_rows, itself),
 }
 
 
-def reachable(error, reader):
+def is_record(obj):
+    return type(obj).__module__.startswith("portsim.") and hasattr(type(obj), "__match_args__")
+
+
+def reachable(error, readers=(), held=()):
     """Every object reachable from ``error`` by ``gc.get_referents``, entering no module,
-    function, code object or class, and no frame but the reader's: the caller's own frame
-    holds the input it passed, and so does whatever called it."""
-    seen, stack, found = set(), [error], []
+    function, code object or class, no frame but the reader's (``readers``, their code
+    objects) and nothing in ``held``: the caller's own frame holds the input it passed,
+    and so does whatever called it."""
+    seen, stack, found = {*map(id, held)}, [error], []
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, (types.ModuleType, types.FunctionType, types.CodeType, type)):
             continue
-        if isinstance(obj, types.FrameType) and obj.f_code is not reader.__code__:
+        if isinstance(obj, types.FrameType) and obj.f_code not in readers:
             continue
         seen.add(id(obj))
         found.append(obj)
@@ -128,12 +135,25 @@ def test_a_kept_error_holds_no_input_it_rejected(tmp_path, case):
     while tb is not None:
         frames.append(tb.tb_frame.f_code)
         tb = tb.tb_next
-    assert frames == [test_a_kept_error_holds_no_input_it_rejected.__code__, reader.__code__]
+    assert frames[0] is test_a_kept_error_holds_no_input_it_rejected.__code__
+    if isinstance(reader, type):
+        # A record's constructor raises from the check its __init__ calls. The instance it was
+        # building keeps only its argument, as its field; the caller holds that argument too.
+        assert [code.co_name for code in frames[1:]] == ["__init__", "__post_init__"]
+        held = [given]
+    else:
+        assert frames[1:] == [reader.__code__]
+        held = []
     assert error.__context__ is None or not error.__suppress_context__
 
+    # A record the reader built from its input is kept only if it is the one being built, or the
+    # caller's own (a Scenario, and the records in it).
+    given_records = [obj for obj in reachable(given) if is_record(obj)]
     shown = repr(document)  # a NaN is not equal to itself, but it reads as itself
-    for obj in reachable(error, reader):
+    for obj in reachable(error, frames[1:], held):
         assert obj is not document
+        if is_record(obj) and type(obj) is not reader:
+            assert any(obj is kept for kept in given_records), f"{case}: the error keeps {obj!r}"
         if type(obj) is type(document) and len(obj) == len(document):
             assert repr(obj) != shown, f"{case}: the error keeps its parsed document"
         if text is not None:
