@@ -253,8 +253,13 @@ def format_number(value: float) -> str:
 
 def _scaled_costs(entries: tuple[tuple[float, ...], ...]) -> list[list[int]]:
     """The entries times one common power of two, as Python ints, on which
-    the solve adds and compares exactly (an integral x gives ``int(x)``)."""
+    the solve adds and compares exactly (an integral x gives ``int(x)``, and
+    a matrix of them, whose scale is 1, takes no ``as_integer_ratio``)."""
     scaled = []  # each row's (p, q), x = p / q, until the common scale is known
+    if all(map(float.is_integer, itertools.chain(*entries))):
+        for row in entries:
+            scaled.append([*map(int, row)])
+        return scaled
     scale = 1
     for row in entries:
         row = [*map(float.as_integer_ratio, row)]

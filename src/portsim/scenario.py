@@ -20,8 +20,11 @@ for NaN and the infinities; only a failing value takes the slow path,
 which stores an int in range as its float in the record (so equal
 Scenarios write equal reports) or raises with the field path, formatted
 only then. A file's record is read in one walk when its keys are known
-and each of its values is a float in its range. The record built from it
-is marked as in range if the fields ``create`` derives are in range too;
+and each of its values is a float in its range: an asset's required keys
+are proved by its build (``create`` raises without one), a single
+record's by a key test first, since a record class compiles its
+``__init__`` on a call it cannot bind. The record built from it is
+marked as in range if the fields ``create`` derives are in range too;
 the mark is kept outside the fields (no comparison, hash, repr,
 ``replace`` or ``asdict`` sees it), and the Scenario's check passes a
 marked record of the table's class without walking it again. Any miss
@@ -354,8 +357,8 @@ _IN_RANGE = "_in_range"
 
 
 def _in_range(built: Any, table: _Table) -> Any:
-    """``built``, marked if each field ``create`` derived is in its range. Its other
-    fields passed theirs in the one-walk read (a supply's fields are all derived)."""
+    """``built``, marked if each field ``create`` derived is in its range: a supply,
+    whose fields are all derived (a file's other records are marked as they are read)."""
     values = built.__dict__
     for name, low, high in table.derived:
         if not low <= values[name] <= high:  # an overflow to inf, or a NaN
@@ -424,10 +427,12 @@ def _check_scenario(scenario: Scenario) -> None:
             "renewables.source", f"renewables.source must be one of {_SOURCES}, got {r.source!r}"
         )
 
-    for i, pv in _items(scenario.pv_arrays, "pv_arrays"):
-        _check_record(pv, _PV, "pv_arrays", i)
+    for i, pv in _items(scenario.pv_arrays, "pv_arrays"):  # a marked asset passes inline
+        if pv.__class__ is not PvArraySpec or _IN_RANGE not in pv.__dict__:
+            _check_record(pv, _PV, "pv_arrays", i)
     for i, wt in _items(scenario.wind_turbines, "wind_turbines"):
-        _check_record(wt, _WIND, "wind_turbines", i)
+        if wt.__class__ is not WindTurbineSpec or _IN_RANGE not in wt.__dict__:
+            _check_record(wt, _WIND, "wind_turbines", i)
 
     if r.source == RenewableSource.FROM_PV_WIND_MODELS:
         generation = _modeled(scenario.pv_arrays, scenario.wind_turbines)
@@ -507,28 +512,45 @@ def _parse_numbers(
     return {name: _number(raw[name], f"{where}.{name}") for name in table.rows if name in raw}
 
 
-def _parse_record(
-    raw: Mapping[str, Any], build: Callable, table: _Table, where: str, index: int | None = None
-) -> Any:
-    """``build(**numbers)`` of the numbers in ``raw``.
+def _parse_records(
+    raws: Iterable[Any], build: Callable, table: _Table, where: str, indexed: bool = True
+) -> list[Any]:
+    """``build(**numbers)`` of the numbers in each of ``raws``: the one-walk read. A dict of
+    known keys whose values are floats in their ranges is built from as it is, and marked if
+    its derived fields are in range too; ``build`` proves the required keys (an asset's
+    ``create`` raises ``TypeError`` without one). Anything else takes the exact path of
+    ``_parse_numbers``, unmarked, as ``where[i]`` (``where`` if not ``indexed``)."""
+    limits, derived, records = table.limits, table.derived, []
+    for raw in raws:
+        if type(raw) is dict:
+            try:
+                for key, value in raw.items():
+                    low, high = limits[key]
+                    if type(value) is not float or not low <= value <= high:
+                        break
+                else:
+                    built = build(**raw)
+                    values = built.__dict__
+                    for name, low, high in derived:
+                        if not low <= values[name] <= high:  # an overflow to inf, or a NaN
+                            break
+                    else:
+                        values[_IN_RANGE] = True
+                    records.append(built)
+                    continue
+            except (KeyError, TypeError):  # a key the record does not have, or one it lacks
+                pass
+        index = len(records) if indexed else None
+        records.append(build(**_parse_numbers(raw, table, where, index)))
+    return records
 
-    The one-walk read: a dict holding every required key, each of whose
-    values is a float in its field's range, is built from as it is, and the
-    record is marked as in range if its derived fields are too. Anything
-    else takes the exact path of ``_parse_numbers``, unmarked.
-    """
+
+def _parse_record(raw: Mapping[str, Any], build: Callable, table: _Table, where: str) -> Any:
+    """One record of ``_parse_records``, its keys tested first: a record class's ``__init__``
+    compiles itself on a call it cannot bind."""
     if type(raw) is dict and raw.keys() >= table.required:
-        limits = table.limits
-        try:
-            for key, value in raw.items():
-                low, high = limits[key]
-                if type(value) is not float or not low <= value <= high:
-                    break
-            else:
-                return _in_range(build(**raw), table)
-        except KeyError:  # a key the record does not have
-            pass
-    return build(**_parse_numbers(raw, table, where, index))
+        return _parse_records((raw,), build, table, where, False)[0]
+    return build(**_parse_numbers(raw, table, where))
 
 
 def _parse_assets(
@@ -537,7 +559,7 @@ def _parse_assets(
     items = raw.get(key, [])
     if not isinstance(items, list):
         raise ValidationError(key, f"{key} must be a list")
-    return tuple([_parse_record(item, build, table, key, i) for i, item in enumerate(items)])
+    return tuple(_parse_records(items, build, table, key))
 
 
 def _parse_renewables(

@@ -229,16 +229,10 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, args, unwanted):
     assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "[]"), proc.stderr
 
 
-@pytest.mark.parametrize(
-    "args",
-    [["run", "yangshan-phase4"], ["validate", "scenario.json"], ["dispatch", "grid.csv"]],
-)
-def test_a_cold_command_compiles_no_generated_source(tmp_path, args):
-    # a record builds its first instances without compiling an __init__; source compiled
-    # into a cold bytecode cache is named by its file, generated source by "<string>";
-    # the grid starts with a UTF-8 BOM, read without the utf_8_sig codec
-    write_scenario(tmp_path)
-    (tmp_path / "grid.csv").write_text("\ufeff420,350,450\n450,400,280\n420,360,390\n", "utf-8")
+def run_cold_counting_compiles(tmp_path, args):
+    """``portsim ARGS`` in a fresh ``-S`` interpreter; its last stdout line counts the generated
+    source it compiled and names the unwanted modules it loaded. Source compiled into a cold
+    bytecode cache is named by its file, generated source by "<string>"."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(portsim.__file__)))
     unwanted = {"inspect", "dataclasses", "encodings.utf_8_sig"}
     code = (
@@ -250,10 +244,49 @@ def test_a_cold_command_compiles_no_generated_source(tmp_path, args):
         f"atexit.register(lambda: print(len(generated), sorted({unwanted!r} & set(sys.modules))))\n"
         "runpy.run_module('portsim.cli', run_name='__main__')"
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-E", "-S", "-c", code], cwd=tmp_path, capture_output=True, text=True
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["run", "yangshan-phase4"], ["validate", "scenario.json"], ["dispatch", "grid.csv"]],
+)
+def test_a_cold_command_compiles_no_generated_source(tmp_path, args):
+    # a record builds its first instances without compiling an __init__; the grid starts
+    # with a UTF-8 BOM, read without the utf_8_sig codec
+    write_scenario(tmp_path)
+    (tmp_path / "grid.csv").write_text("\ufeff420,350,450\n450,400,280\n420,360,390\n", "utf-8")
+    proc = run_cold_counting_compiles(tmp_path, args)
     assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "0 []"), proc.stderr
+
+
+def _without_unit_energy(doc):
+    del doc["throughput"]["unit_energy"]
+
+
+def _pv_without_efficiency(doc):
+    doc["pv_arrays"] = [{"panel_area": 5000.0}]
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (_without_unit_energy, "scenario: missing required key 'unit_energy' in throughput"),
+        (_pv_without_efficiency, "scenario: missing required key 'module_efficiency' in pv_arrays[0]"),
+    ],
+    ids=["throughput", "pv-array"],
+)
+def test_a_cold_rejection_of_a_missing_key_compiles_no_generated_source(tmp_path, defect, message):
+    # a single record's keys are tested before its class is called, which would compile the
+    # class's __init__ on a call it cannot bind; an asset's create raises without compiling
+    doc = json.loads(json.dumps(portsim.PRESETS["yangshan-phase4"]))
+    defect(doc)
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    proc = run_cold_counting_compiles(tmp_path, ["validate", "scenario.json"])
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (1, "0 []"), proc.stderr
+    assert proc.stderr == message + "\n"
 
 
 @pytest.mark.parametrize(

@@ -427,6 +427,23 @@ def test_integral_costs_at_the_float_bound(side):
             assert solve_assignment(matrix) == Assignment(mapping=mapping, total_cost=float(best))
 
 
+INTEGRAL_OR_NOT = st.one_of(st.integers(0, 2**80).map(float), st.floats(0, 1e300))
+
+
+@given(st.lists(st.lists(INTEGRAL_OR_NOT, min_size=3, max_size=3), min_size=1, max_size=4))
+@example([[2.0**80, 3.0, 0.0], [1e300, 5.0, 7.0]])  # integral, past the bound: no as_integer_ratio
+@example([[2.0**80, 0.5, 0.0]])
+def test_scaled_costs_are_the_entries_times_their_least_common_power_of_two(rows):
+    # an integral matrix takes scale 1 without as_integer_ratio, which gives (int(x), 1) for each x
+    from fractions import Fraction
+
+    entries = tuple(map(tuple, rows))
+    scale = max(x.as_integer_ratio()[1] for row in entries for x in row)
+    scaled = dispatch._scaled_costs(entries)
+    assert scaled == [[Fraction(x) * scale for x in row] for row in entries]
+    assert {type(cell) for row in scaled for cell in row} == {int}
+
+
 def test_all_zero_200_is_identity():
     n = 200
     solved = solve_assignment(CostMatrix.from_rows([[0.0] * n for _ in range(n)]))

@@ -15,7 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import portsim.scenario as scenario_module
@@ -970,13 +970,21 @@ def test_every_table_default_lies_in_its_range(cls, table, where):
 # A record of finite floats is read in one walk; anything else takes the exact path
 # ---------------------------------------------------------------------------
 
-ASSETS = {
+#: Each record a file holds as a dict of numbers, by its key, as (build, table). Assets are
+#: read as a list, the others one at a time, weights by ``_parse_weights`` for the flag.
+RECORDS = {
     "pv_arrays": (PvArraySpec.create, scenario_module._PV),
     "wind_turbines": (WindTurbineSpec.create, scenario_module._WIND),
+    "throughput": (ThroughputSpec, scenario_module._THROUGHPUT),
+    "shares": (SectorShares, scenario_module._SHARES),
+    "factors": (EmissionFactorSet, scenario_module._FACTORS),
+    "costs": (CostParameters, scenario_module._COSTS),
+    "objective_weights": (ObjectiveWeights, scenario_module._WEIGHTS),
 }
+ASSET_KEYS = {"pv_arrays", "wind_turbines"}
 
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-ASSET_VALUES = st.one_of(
+ANY_VALUES = st.one_of(
     FINITE_FLOATS,
     st.integers(min_value=-(10**6), max_value=10**6),
     st.sampled_from([10**400, -(10**400), True, False, "1.0", None, math.nan, math.inf, -math.inf]),
@@ -984,19 +992,23 @@ ASSET_VALUES = st.one_of(
 
 
 @st.composite
-def asset_items(draw, key):
-    _, table = ASSETS[key]
+def record_items(draw, key):
+    _, table = RECORDS[key]
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from([None, [], "pv", 3.0, [1.0], ()]))
     # A required key is there three times in four, any other key once in four. A third of
     # the objects hold finite floats only, which the one walk takes when their keys are
-    # right, and a third floats of any kind, NaN and the infinities among them.
+    # right, and a third floats of any kind, NaN and the infinities among them. Weights
+    # hold their flag half the time, of any type: only the Scenario's check tests it.
     names = []
     for name in [*table.rows, "colour"]:
         if draw(st.integers(0, 3)) >= (1 if name in table.required else 3):
             names.append(name)
-    values = draw(st.sampled_from([FINITE_FLOATS, st.floats(), ASSET_VALUES]))
-    return {name: draw(values) for name in draw(st.permutations(names))}
+    values = draw(st.sampled_from([FINITE_FLOATS, st.floats(), ANY_VALUES]))
+    item = {name: draw(values) for name in draw(st.permutations(names))}
+    if key == "objective_weights" and draw(st.booleans()):
+        item["renewables_reduce_score"] = draw(st.sampled_from([True, False, 1, "yes", None]))
+    return item
 
 
 def outcome(read):
@@ -1007,27 +1019,43 @@ def outcome(read):
         return exc.field, str(exc)
 
 
-ASSET_CASES = st.sampled_from(sorted(ASSETS)).flatmap(
-    lambda key: st.tuples(st.just(key), asset_items(key))
+def one_walk_and_exact(key, item):
+    """Two reads of ``item`` as the record under ``key``: as a file's is read, and by the exact
+    path alone, which a Mapping that is not a dict always takes."""
+    build, table = RECORDS[key]
+    exact_item = MappingProxyType(item) if isinstance(item, dict) else item
+    if key in ASSET_KEYS:
+        return (lambda: scenario_module._parse_assets({key: [item]}, key, build, table)[0],
+                lambda: build(**scenario_module._parse_numbers(exact_item, table, f"{key}[0]")))
+    if key == "objective_weights":
+        return (lambda: scenario_module._parse_weights(item),
+                lambda: scenario_module._parse_weights(exact_item))
+    return (lambda: scenario_module._parse_record(item, build, table, key),
+            lambda: build(**scenario_module._parse_numbers(exact_item, table, key)))
+
+
+RECORD_CASES = st.sampled_from(sorted(RECORDS)).flatmap(
+    lambda key: st.tuples(st.just(key), record_items(key))
 )
 
 
-@given(ASSET_CASES)
+@settings(max_examples=350)  # about as many asset cases as before the single records joined
+@given(RECORD_CASES)
 @example(("pv_arrays", {"panel_area": math.nan, "module_efficiency": 0.2}))
 @example(("wind_turbines", {"swept_area": 1.0, "wind_speed": -math.inf, "operating_hours": 2.0}))
 @example(("pv_arrays", {"module_efficiency": 0.2, "panel_area": 10, "peak_power": 1e308}))
+@example(("pv_arrays", {"panel_area": 5000.0}))  # a required key missing: create raises TypeError
+@example(("wind_turbines", {}))
+@example(("throughput", {"teu_per_year": 1e6}))
+@example(("shares", {"equipment_share": 0.5, "transport_share": 0.3, "buildings_share": 0.2,
+                     "colour": 1.0}))
+@example(("costs", {"baseline_cost_per_teu": 250, "optimized_cost_per_teu": 175.0}))
+@example(("objective_weights", {"w_energy": 2.0}))
+@example(("objective_weights", {"w_energy": 2.0, "renewables_reduce_score": False}))
+@example(("objective_weights", {"w_energy": -1.0, "renewables_reduce_score": "yes"}))
 def test_one_walk_read_matches_the_exact_path(case):
     key, item = case
-    create, table = ASSETS[key]
-    # A Mapping that is not a dict always takes the exact path of _parse_numbers.
-    exact_item = MappingProxyType(item) if isinstance(item, dict) else item
-
-    def exact():
-        return create(**scenario_module._parse_numbers(exact_item, table, f"{key}[0]"))
-
-    def fast():
-        return scenario_module._parse_assets({key: [item]}, key, create, table)[0]
-
+    fast, exact = one_walk_and_exact(key, item)
     assert outcome(fast) == outcome(exact)
     # a record the one-walk read marks in range passes the range check that the mark skips
     try:
@@ -1036,7 +1064,43 @@ def test_one_walk_read_matches_the_exact_path(case):
         return
     assert scenario_module._IN_RANGE not in exact().__dict__
     if scenario_module._IN_RANGE in record.__dict__:
-        scenario_module._check_record(replace(record), table, key, 0)
+        _, table = RECORDS[key]
+        scenario_module._check_record(replace(record), table, key, 0 if key in ASSET_KEYS else None)
+
+
+def test_a_file_s_assets_are_read_once_per_list_and_checked_inline(monkeypatch):
+    # 16 PV arrays and 24 turbines, as the largest documents of a parameter sweep: each list
+    # enters the reader once, and the Scenario's check calls _check_record for the single
+    # records only, passing every marked asset without a call
+    entered, checked = [], []
+    parse_records, check_record = scenario_module._parse_records, scenario_module._check_record
+
+    def counting_parse_records(raws, build, table, where, indexed=True):
+        entered.append((where, len(raws)))
+        return parse_records(raws, build, table, where, indexed)
+
+    def counting_check_record(record, table, where, index=None):
+        checked.append(where if index is None else f"{where}[{index}]")
+        check_record(record, table, where, index)
+
+    monkeypatch.setattr(scenario_module, "_parse_records", counting_parse_records)
+    monkeypatch.setattr(scenario_module, "_check_record", counting_check_record)
+    raw = make_scenario_dict(
+        renewables={"source": "from_pv_wind_models"},
+        pv_arrays=[{"panel_area": 4000.0 + i, "module_efficiency": 0.2} for i in range(16)],
+        wind_turbines=[
+            {"swept_area": 2000.0, "wind_speed": 6.0 + i / 8, "operating_hours": 2500.0}
+            for i in range(24)
+        ],
+    )
+    scenario = validate_scenario(scenario_from_json(json.dumps(raw)))
+    assert [where for where, _ in entered if where in ("pv_arrays", "wind_turbines")] == [
+        "pv_arrays", "wind_turbines"
+    ]
+    assert ("pv_arrays", 16) in entered and ("wind_turbines", 24) in entered
+    assert checked == ["throughput", "shares", "factors", "renewables", "costs", "objective_weights"]
+    assert all(scenario_module._IN_RANGE in asset.__dict__
+               for asset in (*scenario.pv_arrays, *scenario.wind_turbines))
 
 
 PV = {"panel_area": 100.0, "module_efficiency": 0.2}
