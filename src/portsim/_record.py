@@ -2,6 +2,8 @@
 ``dataclasses``. ``__dataclass_fields__`` and ``__signature__`` are made when read, so callers
 can still use ``dataclasses.replace``, ``fields``, ``asdict`` and ``inspect.signature``."""
 
+from .errors import PortsimError, _detached
+
 # A record's first constructions bind their arguments in a closure, so a short-lived process
 # compiles nothing. Compiling a class's ``__init__`` takes 30-130 us warm and 50-540 us (median
 # 200) as its first compile in a process, and saves 1.2-4.1 us per call (Python 3.11, shared
@@ -47,10 +49,12 @@ class _Signature:
 
 def record(cls):
     """Make ``cls`` a frozen record. Its ``__init__`` takes the annotated fields in
-    order, with the class attributes as defaults, then calls any ``__post_init__``."""
+    order, with the class attributes as defaults, then calls any ``__post_init__``,
+    whose ``PortsimError`` it raises again from its own frame, keeping none below it."""
     attrs, names = cls.__dict__, tuple(cls.__dict__["__annotations__"])
     defaults = {n: attrs[n] for n in names if n in attrs}
-    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    post = ("\n    try:\n        self.__post_init__()\n    except PortsimError as error:\n        raise _detached(error)"
+            if hasattr(cls, "__post_init__") else "")
     built, compiled = 0, None
 
     def __init__(self, /, *args, **kwargs):
@@ -63,12 +67,15 @@ def record(cls):
                 and all(map(tail.__contains__, kwargs)) and all(map(given.__contains__, tail))):
             self.__dict__.update(zip(names, (*args, *map(given.__getitem__, tail))))
             if post:
-                self.__post_init__()
+                try:
+                    self.__post_init__()
+                except PortsimError as error:
+                    raise _detached(error)
             return
         if compiled is None:  # two threads may both compile it; they install equal functions
             params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
             stores = "".join(f"\n    __d[{n!r}] = {n}" for n in names)
-            env = {"_defaults": defaults, "__name__": cls.__module__}
+            env = {"_defaults": defaults, "PortsimError": PortsimError, "_detached": _detached, "__name__": cls.__module__}
             exec(f"def __init__(self{params}):\n    __d = self.__dict__{stores}{post}", env)
             compiled = cls.__init__ = env["__init__"]
         compiled(self, *args, **kwargs)

@@ -104,11 +104,7 @@ class CostMatrix:
         except (TypeError, ValueError, ArithmeticError):  # also an int past range, a Decimal NaN
             valid = False
         if not valid:  # raises for any cell float() rejected, so ``entries`` is set below; passes
-            try:  # valid cells that only sum past the range or that min cannot compare
-                _check_cells(rows)
-            except DispatchError as exc:  # raised again from here, keeping none of the lists built above
-                rows = entries = mins = None
-                raise _detached(exc)
+            _check_cells(rows)  # valid cells that only sum past the range or that min cannot compare
         self.__dict__["entries"] = entries
         if valid and total * (max(len(rows), len(rows[0])) + 2) < 2**53 and (
             total.__class__ is int or all(map(float.is_integer, itertools.chain(*entries)))
@@ -253,13 +249,8 @@ def format_number(value: float) -> str:
 
 def _scaled_costs(entries: tuple[tuple[float, ...], ...]) -> list[list[int]]:
     """The entries times one common power of two, as Python ints, on which
-    the solve adds and compares exactly (an integral x gives ``int(x)``, and
-    a matrix of them, whose scale is 1, takes no ``as_integer_ratio``)."""
+    the solve adds and compares exactly."""
     scaled = []  # each row's (p, q), x = p / q, until the common scale is known
-    if all(map(float.is_integer, itertools.chain(*entries))):
-        for row in entries:
-            scaled.append([*map(int, row)])
-        return scaled
     scale = 1
     for row in entries:
         row = [*map(float.as_integer_ratio, row)]

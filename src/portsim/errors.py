@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
 Every error carries the name of the subsystem that raised it so the CLI
-can report provenance without inspecting tracebacks. A public reader
-raises its error again from its own frame, through ``_detached``: the
-traceback starts at the function the caller called, and holds neither
-the frames that parsed the input nor the document or file text they read.
+can report provenance without inspecting tracebacks. A public reader, and
+a record's ``__init__``, raises its error again from its own frame, through
+``_detached``: the traceback starts at the function the caller called, and
+holds neither the frames that parsed or checked the input nor what they read.
 """
 
 from __future__ import annotations

@@ -18,8 +18,6 @@ presentation rounding happens only in ``summarize``, the CLI's digest.
 
 from __future__ import annotations
 
-import sys
-
 from ._record import asdict, record
 from .dispatch import Assignment, format_number, solve_assignment
 from .economics import CostReport, cost_report
@@ -28,14 +26,11 @@ from .energy import EnergyResult, evaluate_energy
 from .errors import DispatchError, ValidationError, _detached
 from .objective import ObjectiveScore, score_scenario
 from .renewables import GenerationResult
-from .scenario import Scenario, SectorEnergyBreakdown
+from .scenario import _MAX, _MIN, Scenario, SectorEnergyBreakdown
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Any
-
-_MAX = sys.float_info.max
-_MIN = -_MAX  # a constant, so a finiteness test negates nothing
 
 
 @record

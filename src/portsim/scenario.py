@@ -30,8 +30,9 @@ the mark is kept outside the fields (no comparison, hash, repr,
 marked record of the table's class without walking it again. Any miss
 takes the exact path, which checks keys, types and finiteness and leaves
 ranges to the check, so a document's first error is the same on either
-path. A supply the file leaves to the assets is modeled by the parse, to
-fill it in, and again by the check, which compares and keeps the result.
+path. The supply is read unmarked, so the check walks its two numbers. A
+supply the file leaves to the assets is modeled by the parse, to fill it
+in, and again by the check, which compares and keeps the result.
 Parsing, the range check, the allowed and required keys and ``create``'s
 defaults all read the same tables.
 
@@ -356,17 +357,6 @@ WindTurbineSpec.create.__defaults__ = _WIND.defaults
 _IN_RANGE = "_in_range"
 
 
-def _in_range(built: Any, table: _Table) -> Any:
-    """``built``, marked if each field ``create`` derived is in its range: a supply,
-    whose fields are all derived (a file's other records are marked as they are read)."""
-    values = built.__dict__
-    for name, low, high in table.derived:
-        if not low <= values[name] <= high:  # an overflow to inf, or a NaN
-            return built
-    values[_IN_RANGE] = True
-    return built
-
-
 def _check_record(record: Any, table: _Table, where: str, index: int | None = None) -> None:
     if record.__class__ is not table.cls:  # tested before the mark, which any record may carry
         path = where if index is None else f"{where}[{index}]"
@@ -582,7 +572,7 @@ def _parse_renewables(
     new_green = None
     if "new_green_energy" in raw:
         new_green = _number(raw["new_green_energy"], "renewables.new_green_energy")
-    return _in_range(RenewableSupplySpec.create(renewable_energy, raw["source"], new_green), _SUPPLY)
+    return RenewableSupplySpec.create(renewable_energy, raw["source"], new_green)
 
 
 def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:

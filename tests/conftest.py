@@ -1,7 +1,10 @@
 import copy
 import itertools
 import math
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,28 @@ def make_scenario_dict(**overrides):
     raw = copy.deepcopy(MINIMAL_SCENARIO)
     raw.update(copy.deepcopy(overrides))
     return raw
+
+
+def module_variant(module, source):
+    """``source`` run as a throwaway module of ``module``'s package; ``sys.modules`` stays as it is."""
+    variant = types.ModuleType(f"{module.__name__}_variant")
+    variant.__package__ = module.__package__  # for its relative imports
+    exec(compile(source, module.__file__, "exec"), variant.__dict__)
+    return variant
+
+
+def assert_the_test_catches(monkeypatch, test, name, module, pattern, mutant):
+    """``test`` passes with its global ``name`` taken from ``module``'s source run as a variant, and
+    fails with it taken from the variant whose one ``pattern`` is replaced by ``mutant``."""
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    assert source.count(pattern) == 1, pattern
+    monkeypatch.setitem(test.__globals__, name, getattr(module_variant(module, source), name))
+    test()
+    mutated = module_variant(module, source.replace(pattern, mutant))
+    monkeypatch.setitem(test.__globals__, name, getattr(mutated, name))
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
+        test()
+    assert sys.modules[module.__name__] is module
 
 
 @pytest.fixture

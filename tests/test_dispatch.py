@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from portsim import Assignment, CostMatrix, DispatchError, load_cost_matrix, solve_assignment
 from portsim import dispatch
 from portsim.dispatch import _shortest_paths
-from conftest import PAPER_MATRIX, bound_tops, enumerate_injections, enumerate_optima, lexicographic_optimum
+from conftest import (
+    PAPER_MATRIX,
+    bound_tops,
+    enumerate_injections,
+    enumerate_optima,
+    lexicographic_optimum,
+    module_variant,
+)
 
 
 def test_reference_matrix_oracle_first():
@@ -431,10 +438,10 @@ INTEGRAL_OR_NOT = st.one_of(st.integers(0, 2**80).map(float), st.floats(0, 1e300
 
 
 @given(st.lists(st.lists(INTEGRAL_OR_NOT, min_size=3, max_size=3), min_size=1, max_size=4))
-@example([[2.0**80, 3.0, 0.0], [1e300, 5.0, 7.0]])  # integral, past the bound: no as_integer_ratio
+@example([[2.0**80, 3.0, 0.0], [1e300, 5.0, 7.0]])  # integral, but past the mark's bound
 @example([[2.0**80, 0.5, 0.0]])
 def test_scaled_costs_are_the_entries_times_their_least_common_power_of_two(rows):
-    # an integral matrix takes scale 1 without as_integer_ratio, which gives (int(x), 1) for each x
+    # an integral matrix takes scale 1: as_integer_ratio gives (int(x), 1) for each x
     from fractions import Fraction
 
     entries = tuple(map(tuple, rows))
@@ -490,7 +497,7 @@ def searches(matrices):
     solver that adds one to a counter as each search starts."""
     source = Path(dispatch.__file__).read_text(encoding="utf-8")
     assert source.count(SEARCH_START) == 1
-    variant = dispatch_variant(source.replace(SEARCH_START, "SEARCHES[0] += 1; " + SEARCH_START))
+    variant = module_variant(dispatch, source.replace(SEARCH_START, "SEARCHES[0] += 1; " + SEARCH_START))
     variant.SEARCHES = [0]
     for rows in matrices:
         variant.solve_assignment(variant.CostMatrix(entries=rows))
@@ -991,14 +998,6 @@ def mutation_cases():
     return cases
 
 
-def dispatch_variant(source):
-    """``source`` run as a throwaway module; ``portsim.dispatch`` stays as it is."""
-    module = types.ModuleType("portsim._dispatch_variant")
-    module.__package__ = "portsim"  # for its relative imports
-    exec(compile(source, dispatch.__file__, "exec"), module.__dict__)
-    return module
-
-
 def variant_outcome(module, entries):
     try:
         matrix = module.CostMatrix(entries=entries)
@@ -1016,15 +1015,15 @@ def test_the_oracles_catch_each_one_line_mutation_of_the_solver(monkeypatch):
         best, mapping = lexicographic_optimum(entries)
         bound = sum(map(sum, entries)) * (max(len(entries), len(entries[0])) + 2) < 2**53
         expected.append((mapping, float.hex(float(best)), bound))
-    assert [variant_outcome(dispatch_variant(source), entries) for entries in cases] == expected
+    assert [variant_outcome(module_variant(dispatch, source), entries) for entries in cases] == expected
     for what, pattern, mutant in MUTATIONS:
         assert source.count(pattern) == 1, what
-        variant = dispatch_variant(source.replace(pattern, mutant))
+        variant = module_variant(dispatch, source.replace(pattern, mutant))
         assert any(variant_outcome(variant, e) != want for e, want in zip(cases, expected)), what
 
     for what, pattern, mutant, test in SILENT_MUTATIONS:
         assert source.count(pattern) == 1, what
-        variant = dispatch_variant(source.replace(pattern, mutant))
+        variant = module_variant(dispatch, source.replace(pattern, mutant))
         assert [variant_outcome(variant, entries) for entries in cases] == expected, what
         monkeypatch.setitem(globals(), "_shortest_paths", variant._shortest_paths)
         with pytest.raises(AssertionError):

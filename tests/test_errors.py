@@ -8,6 +8,7 @@ import pytest
 from portsim import (
     CostMatrix,
     DispatchError,
+    SectorShares,
     ValidationError,
     get_preset,
     load_cost_matrix,
@@ -19,11 +20,16 @@ from portsim import (
     scenario_from_json,
     scenario_to_dict,
 )
+from portsim._record import replace
 from portsim.report import report_from_dict
 
 
+def yangshan_document():
+    return scenario_to_dict(get_preset("yangshan-phase4"))  # a matrix and notes, so it is worth keeping
+
+
 def shares_sum_document():
-    raw = scenario_to_dict(get_preset("yangshan-phase4"))  # a matrix and notes, so it is worth keeping
+    raw = yangshan_document()
     raw["shares"]["buildings_share"] = 0.5
     return raw
 
@@ -39,6 +45,10 @@ def overflow_document():
     raw["throughput"] = {"teu_per_year": 1e10, "unit_energy": 1e10}
     raw["factors"]["buildings_factor"] = 1e300
     return raw
+
+
+def even_shares(scenario):
+    return replace(scenario, shares=SectorShares(0.5, 0.5, 0.5))
 
 
 def negative_cell_rows():
@@ -90,6 +100,7 @@ CASES = {
     "not-utf8-grid": (load_cost_matrix, negative_cell_rows, grid_not_utf8),
     "overflow-report": (run_scenario, overflow_document, scenario_from_dict),
     "negative-cell-matrix": (CostMatrix, negative_cell_rows, itself),
+    "replace-shares": (even_shares, yangshan_document, scenario_from_dict),
 }
 
 
@@ -130,29 +141,35 @@ def test_a_kept_error_holds_no_input_it_rejected(tmp_path, case):
     else:
         pytest.fail(f"{case} was accepted")
 
-    frames = []
+    tb_frames = []
     tb = error.__traceback__
     while tb is not None:
-        frames.append(tb.tb_frame.f_code)
+        tb_frames.append(tb.tb_frame)
         tb = tb.tb_next
+    frames = [frame.f_code for frame in tb_frames]
     assert frames[0] is test_a_kept_error_holds_no_input_it_rejected.__code__
-    if isinstance(reader, type):
-        # A record's constructor raises from the check its __init__ calls. The instance it was
-        # building keeps only its argument, as its field; the caller holds that argument too.
-        assert [code.co_name for code in frames[1:]] == ["__init__", "__post_init__"]
-        held = [given]
+    building = None
+    if isinstance(reader, type) or reader is even_shares:
+        # A record's constructor raises from its __init__, not from the check that __init__ calls.
+        # The instance it was building keeps only its arguments, as its fields; the caller holds
+        # what it passed too, and the record's class its defaults.
+        assert [code.co_name for code in frames[1:]] == (
+            ["__init__"] if isinstance(reader, type) else ["even_shares", "replace", "__init__"]
+        )
+        building = tb_frames[-1].f_locals["self"]
+        held = [given, *filter(is_record, vars(type(building)).values())]
     else:
         assert frames[1:] == [reader.__code__]
         held = []
     assert error.__context__ is None or not error.__suppress_context__
 
-    # A record the reader built from its input is kept only if it is the one being built, or the
-    # caller's own (a Scenario, and the records in it).
-    given_records = [obj for obj in reachable(given) if is_record(obj)]
+    # A record the reader built from its input is kept only if it is the one being built, one of
+    # that one's fields, or the caller's own (a Scenario, and the records in it).
+    given_records = [obj for obj in reachable(given) + reachable(building) if is_record(obj)]
     shown = repr(document)  # a NaN is not equal to itself, but it reads as itself
     for obj in reachable(error, frames[1:], held):
         assert obj is not document
-        if is_record(obj) and type(obj) is not reader:
+        if is_record(obj):
             assert any(obj is kept for kept in given_records), f"{case}: the error keeps {obj!r}"
         if type(obj) is type(document) and len(obj) == len(document):
             assert repr(obj) != shown, f"{case}: the error keeps its parsed document"

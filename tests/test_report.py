@@ -35,7 +35,8 @@ from portsim import (
     summarize,
     validate_scenario,
 )
-from conftest import make_scenario_dict
+from portsim import report as report_module
+from conftest import assert_the_test_catches, make_scenario_dict
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +244,14 @@ def test_overflowing_report_names_its_first_non_finite_number():
         run_scenario(scenario)
     assert excinfo.value.field == "emissions.baseline_emissions"
     assert str(excinfo.value).startswith("emissions.baseline_emissions is inf: ")
+
+
+def test_the_report_check_letting_an_infinity_through_fails_a_test(monkeypatch):
+    # a one-line mutation of _check_report: its finiteness test passes inf, as NaN still fails it
+    assert_the_test_catches(
+        monkeypatch, test_overflowing_report_names_its_first_non_finite_number, "run_scenario",
+        report_module, "type(value) is float and _MIN <= value <= _MAX", "type(value) is float and value == value",
+    )
 
 
 @pytest.mark.parametrize("text", ["{not json", "9" * 5000, "[" * 100_000])

@@ -41,7 +41,7 @@ from portsim import (
 )
 from portsim.cli import main
 from portsim.scenario import with_shares, with_weights
-from conftest import make_scenario_dict
+from conftest import assert_the_test_catches, make_scenario_dict
 
 
 def test_yangshan_preset_accepted():
@@ -102,6 +102,15 @@ def test_bool_not_a_number():
     raw["throughput"]["teu_per_year"] = True
     with pytest.raises(ValidationError, match="teu_per_year must be a number"):
         scenario_from_dict(raw)
+
+
+def test_a_number_check_that_takes_a_bool_fails_a_test(monkeypatch):
+    # a one-line mutation of _number: without its bool test, a JSON true reads as 1.0
+    assert_the_test_catches(
+        monkeypatch, test_bool_not_a_number, "scenario_from_dict", scenario_module,
+        "if isinstance(value, bool) or not isinstance(value, (int, float)):",
+        "if not isinstance(value, (int, float)):",
+    )
 
 
 def test_string_not_a_number():
@@ -883,7 +892,7 @@ def test_a_derived_supply_pickles_and_copies_without_its_assets():
     scenario = scenario_from_dict(copy.deepcopy(DERIVED_SUPPLY))
     supply = scenario.renewables
     kept = supply.__dict__.keys()
-    assert scenario_module._IN_RANGE in kept
+    assert scenario_module._IN_RANGE not in kept  # a supply is never marked: the check walks it
     assert b"PvArraySpec" not in pickle.dumps(supply)
     for twin in (pickle.loads(pickle.dumps(supply)), copy.deepcopy(supply)):
         assert twin == supply and twin.__dict__.keys() == kept
@@ -912,7 +921,8 @@ def test_a_record_read_in_one_walk_behaves_like_one_built_by_hand(weights):
     raw["objective_weights"] = weights
     scenario = scenario_from_dict(raw)
     for (cls, _, _), record in zip(TABLES, records_of(scenario)):
-        assert scenario_module._IN_RANGE in record.__dict__, cls  # every record took the walk
+        marked = scenario_module._IN_RANGE in record.__dict__  # every record but the supply took the walk
+        assert marked is (cls is not RenewableSupplySpec), cls
         twin = cls(*[getattr(record, name) for name in cls.__match_args__])
         assert scenario_module._IN_RANGE not in twin.__dict__
         assert record == twin and twin == record and not record != twin
