@@ -26,7 +26,7 @@ from .energy import EnergyResult, evaluate_energy
 from .errors import DispatchError, ValidationError, _detached
 from .objective import ObjectiveScore, score_scenario
 from .renewables import GenerationResult
-from .scenario import _MAX, _MIN, Scenario, SectorEnergyBreakdown
+from .scenario import _MAX, _MIN, Scenario, SectorEnergyBreakdown, _loads
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -228,10 +228,9 @@ def report_from_dict(raw: dict[str, Any]) -> SimulationReport:
 
 def report_from_json(data: bytes | str) -> SimulationReport:
     """Parse a JSON report, e.g. one ``serialize_report`` wrote; see ``report_from_dict``."""
-    import json
     try:
         try:
-            raw = json.loads(data)
+            raw = _loads(data)
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
             raise ValidationError("report", f"invalid report JSON: {exc}") from None
         return report_from_dict(raw)

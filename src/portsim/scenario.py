@@ -20,21 +20,22 @@ for NaN and the infinities; only a failing value takes the slow path,
 which stores an int in range as its float in the record (so equal
 Scenarios write equal reports) or raises with the field path, formatted
 only then. A file's record is read in one walk when its keys are known
-and each of its values is a float in its range: an asset's required keys
-are proved by its build (``create`` raises without one), a single
-record's by a key test first, since a record class compiles its
-``__init__`` on a call it cannot bind. The record built from it is
-marked as in range if the fields ``create`` derives are in range too;
-the mark is kept outside the fields (no comparison, hash, repr,
-``replace`` or ``asdict`` sees it), and the Scenario's check passes a
-marked record of the table's class without walking it again. Any miss
-takes the exact path, which checks keys, types and finiteness and leaves
-ranges to the check, so a document's first error is the same on either
-path. The supply is read unmarked, so the check walks its two numbers. A
-supply the file leaves to the assets is modeled by the parse, to fill it
-in, and again by the check, which compares and keeps the result.
-Parsing, the range check, the allowed and required keys and ``create``'s
-defaults all read the same tables.
+and each of its numbers is a float in its range; a field that is no
+number (the weights' flag) rides through as given, for the Scenario's
+check to judge. An asset's required keys are proved by its build
+(``create`` raises without one), a single record's by a key test first,
+since a record class compiles its ``__init__`` on a call it cannot
+bind. The record built from it is marked as in range if the fields
+``create`` derives are in range too; the mark is kept outside the fields
+(no comparison, hash, repr, ``replace`` or ``asdict`` sees it), and the
+Scenario's check passes a marked record of the table's class without
+walking it again. Any miss takes the exact path, which checks keys,
+types and finiteness and leaves ranges to the check, so a document's
+first error is the same on either path. The supply is read unmarked, so
+the check walks its two numbers. A supply the file leaves to the assets
+is modeled by the parse, to fill it in, and again by the check, which
+compares and keeps the result. Parsing, the range check, the allowed and
+required keys and ``create``'s defaults all read the same tables.
 
 Scenario files are JSON with keys named exactly like the record fields
 below. Unknown keys are rejected rather than ignored, so a typo in a file
@@ -58,7 +59,7 @@ from .objective import ObjectiveWeights
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Collection, Iterable, Mapping
+    from collections.abc import Collection, Iterable, Mapping
     from os import PathLike
     from typing import Any
 
@@ -283,10 +284,12 @@ class _Table:
     declaration order. Each is given as its range, if a file must give it (or the record
     declares its default), or as ``(range, default)``, the default being a constant, or None
     for a value ``create`` derives from the other fields. ``rows`` maps each to ``(name, low,
-    high, wording, default)``; ``fields`` holds every key a file may give, ``required``
-    (set-like, in order) the numbers it must give, and ``defaults`` the others' defaults in
-    order, as ``create`` takes them. ``limits`` maps each number to ``(low, high)``, and
-    ``derived`` holds ``(name, low, high)`` of those ``create`` derives."""
+    high, wording, default)``; ``fields`` holds every key a file may give, ``others`` those
+    that are no number, ``required`` (set-like, in order) the numbers it must give, and
+    ``defaults`` the optional numbers' defaults in order, as ``create`` takes them. ``build``
+    is ``create``, or the class if it has none. ``limits`` maps each key to ``(low, high)``,
+    empty for ``others``, and ``derived`` holds ``(name, low, high)`` of those ``create``
+    derives."""
 
     def __init__(self, cls: type, **rows: Any) -> None:
         self.cls, declared, self.rows = cls, vars(cls), {}
@@ -294,9 +297,12 @@ class _Table:
             limits, default = row if type(row[0]) is tuple else (row, declared.get(name, _REQUIRED))
             self.rows[name] = (name, *limits, default)
         self.fields = frozenset(cls.__match_args__)
+        self.others = self.fields - self.rows.keys()
+        self.build = getattr(cls, "create", cls)
         self.required = {n: None for n, *_, d in self.rows.values() if d is _REQUIRED}.keys()
         self.defaults = tuple(d for *_, d in self.rows.values() if d is not _REQUIRED)
         self.limits = {n: (low, high) for n, low, high, *_ in self.rows.values()}
+        self.limits.update(dict.fromkeys(self.others, (_MAX, _MIN)))
         self.derived = tuple((n, low, high) for n, low, high, _, d in self.rows.values() if d is None)
 
 
@@ -491,32 +497,31 @@ def _check_keys(
 
 def _parse_numbers(
     raw: Mapping[str, Any], table: _Table, where: str, index: int | None = None
-) -> dict[str, float]:
-    """The keys of ``table`` present in ``raw``, as finite floats: the exact path.
+) -> dict[str, Any]:
+    """The keys of ``table`` present in ``raw``, numbers as finite floats: the exact path.
 
-    Only keys, types and finiteness are checked here; ranges are checked
-    when the Scenario is built, so errors keep their established order.
+    Only keys, types and finiteness are checked here; ranges and ``others``
+    are checked when the Scenario is built, so errors keep their established order.
     """
     where = where if index is None else f"{where}[{index}]"
     _check_keys(raw, table.fields, table.required, where)
-    return {name: _number(raw[name], f"{where}.{name}") for name in table.rows if name in raw}
+    numbers = {name: _number(raw[name], f"{where}.{name}") for name in table.rows if name in raw}
+    return numbers | {name: raw[name] for name in table.others if name in raw}
 
 
-def _parse_records(
-    raws: Iterable[Any], build: Callable, table: _Table, where: str, indexed: bool = True
-) -> list[Any]:
-    """``build(**numbers)`` of the numbers in each of ``raws``: the one-walk read. A dict of
-    known keys whose values are floats in their ranges is built from as it is, and marked if
-    its derived fields are in range too; ``build`` proves the required keys (an asset's
+def _parse_records(raws: Iterable[Any], table: _Table, where: str, indexed: bool = True) -> list[Any]:
+    """``table.build`` of each of ``raws``: the one-walk read. A dict of known keys whose
+    numbers are floats in their ranges is built from as it is, ``others`` as given, and marked
+    if its derived fields are in range too; ``build`` proves the required keys (an asset's
     ``create`` raises ``TypeError`` without one). Anything else takes the exact path of
     ``_parse_numbers``, unmarked, as ``where[i]`` (``where`` if not ``indexed``)."""
-    limits, derived, records = table.limits, table.derived, []
+    limits, others, derived, build, records = table.limits, table.others, table.derived, table.build, []
     for raw in raws:
         if type(raw) is dict:
             try:
                 for key, value in raw.items():
                     low, high = limits[key]
-                    if type(value) is not float or not low <= value <= high:
+                    if (type(value) is not float or not low <= value <= high) and key not in others:
                         break
                 else:
                     built = build(**raw)
@@ -535,21 +540,19 @@ def _parse_records(
     return records
 
 
-def _parse_record(raw: Mapping[str, Any], build: Callable, table: _Table, where: str) -> Any:
+def _parse_record(raw: Mapping[str, Any], table: _Table, where: str) -> Any:
     """One record of ``_parse_records``, its keys tested first: a record class's ``__init__``
     compiles itself on a call it cannot bind."""
     if type(raw) is dict and raw.keys() >= table.required:
-        return _parse_records((raw,), build, table, where, False)[0]
-    return build(**_parse_numbers(raw, table, where))
+        return _parse_records((raw,), table, where, False)[0]
+    return table.build(**_parse_numbers(raw, table, where))
 
 
-def _parse_assets(
-    raw: Mapping[str, Any], key: str, build: Callable, table: _Table
-) -> tuple[Any, ...]:
+def _parse_assets(raw: Mapping[str, Any], key: str, table: _Table) -> tuple[Any, ...]:
     items = raw.get(key, [])
     if not isinstance(items, list):
         raise ValidationError(key, f"{key} must be a list")
-    return tuple(_parse_records(items, build, table, key))
+    return tuple(_parse_records(items, table, key))
 
 
 def _parse_renewables(
@@ -573,20 +576,6 @@ def _parse_renewables(
     if "new_green_energy" in raw:
         new_green = _number(raw["new_green_energy"], "renewables.new_green_energy")
     return RenewableSupplySpec.create(renewable_energy, raw["source"], new_green)
-
-
-def _parse_weights(raw: Mapping[str, Any]) -> ObjectiveWeights:
-    numbers = raw
-    if type(raw) is dict and "renewables_reduce_score" in raw:
-        numbers = raw.copy()  # the flag is no float, so it would miss the one-walk read
-        del numbers["renewables_reduce_score"]
-
-    def build(**kwargs: float) -> ObjectiveWeights:  # called once the numbers are read
-        if "renewables_reduce_score" in raw:
-            kwargs["renewables_reduce_score"] = raw["renewables_reduce_score"]
-        return ObjectiveWeights(**kwargs)
-
-    return _parse_record(numbers, build, _WEIGHTS, "objective_weights")
 
 
 def _parse_notes(raw: Any) -> tuple[Any, ...]:
@@ -626,20 +615,20 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     """
     try:
         _check_keys(raw, _SCENARIO_KEYS, _SCENARIO_REQUIRED, "scenario")
-        pv_arrays = _parse_assets(raw, "pv_arrays", PvArraySpec.create, _PV)
-        wind_turbines = _parse_assets(raw, "wind_turbines", WindTurbineSpec.create, _WIND)
+        pv_arrays = _parse_assets(raw, "pv_arrays", _PV)
+        wind_turbines = _parse_assets(raw, "wind_turbines", _WIND)
 
         return Scenario(
             name=raw["name"],
-            throughput=_parse_record(raw["throughput"], ThroughputSpec, _THROUGHPUT, "throughput"),
-            shares=_parse_record(raw["shares"], SectorShares, _SHARES, "shares"),
-            factors=_parse_record(raw["factors"], EmissionFactorSet, _FACTORS, "factors"),
+            throughput=_parse_record(raw["throughput"], _THROUGHPUT, "throughput"),
+            shares=_parse_record(raw["shares"], _SHARES, "shares"),
+            factors=_parse_record(raw["factors"], _FACTORS, "factors"),
             renewables=_parse_renewables(raw["renewables"], pv_arrays, wind_turbines),
-            costs=_parse_record(raw["costs"], CostParameters, _COSTS, "costs"),
+            costs=_parse_record(raw["costs"], _COSTS, "costs"),
             pv_arrays=pv_arrays,
             wind_turbines=wind_turbines,
             dispatch_matrix=_parse_matrix(raw.get("dispatch_matrix")),
-            objective_weights=_parse_weights(raw.get("objective_weights", {})),
+            objective_weights=_parse_record(raw.get("objective_weights", {}), _WEIGHTS, "objective_weights"),
             notes=_parse_notes(raw.get("notes", ())),  # read last, so every other parse error comes first
         )
     except ValidationError as exc:

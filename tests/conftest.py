@@ -44,16 +44,18 @@ def module_variant(module, source):
     return variant
 
 
-def assert_the_test_catches(monkeypatch, test, name, module, pattern, mutant):
+def assert_the_test_catches(monkeypatch, test, name, module, pattern, mutant,
+                            fails_with=(AssertionError, pytest.fail.Exception)):
     """``test`` passes with its global ``name`` taken from ``module``'s source run as a variant, and
-    fails with it taken from the variant whose one ``pattern`` is replaced by ``mutant``."""
+    fails with it taken from the variant whose one ``pattern`` is replaced by ``mutant``: it raises
+    one of ``fails_with``, a failed assertion unless the mutant lets another error out."""
     source = Path(module.__file__).read_text(encoding="utf-8")
     assert source.count(pattern) == 1, pattern
     monkeypatch.setitem(test.__globals__, name, getattr(module_variant(module, source), name))
     test()
     mutated = module_variant(module, source.replace(pattern, mutant))
     monkeypatch.setitem(test.__globals__, name, getattr(mutated, name))
-    with pytest.raises((AssertionError, pytest.fail.Exception)):
+    with pytest.raises(fails_with):
         test()
     assert sys.modules[module.__name__] is module
 

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import pickle
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -252,6 +253,24 @@ def test_the_report_check_letting_an_infinity_through_fails_a_test(monkeypatch):
         monkeypatch, test_overflowing_report_names_its_first_non_finite_number, "run_scenario",
         report_module, "type(value) is float and _MIN <= value <= _MAX", "type(value) is float and value == value",
     )
+
+
+def test_a_fresh_interpreter_reads_a_valid_report_str_without_json():
+    # a report is read as a scenario file is, by json's C scanner; only bytes and invalid
+    # text go to json.loads
+    src = str(Path(report_module.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from portsim import get_preset, report_from_json, run_scenario, serialize_report\n"
+        "report = run_scenario(get_preset('yangshan-phase4'))\n"
+        "text = serialize_report(report, 'json').decode()\n"
+        "loaded = 'json' in sys.modules\n"
+        "print(loaded, report_from_json(text) == report, 'json' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["False", "True", "False"]
 
 
 @pytest.mark.parametrize("text", ["{not json", "9" * 5000, "[" * 100_000])

@@ -40,6 +40,7 @@ from portsim import (
     validate_scenario,
 )
 from portsim.cli import main
+from portsim.renewables import BETZ_LIMIT
 from portsim.scenario import with_shares, with_weights
 from conftest import assert_the_test_catches, make_scenario_dict
 
@@ -711,6 +712,7 @@ def test_every_field_has_one_row_in_declaration_order(cls, table, where):
     assert list(table.rows) == [name for name in cls.__match_args__ if name not in NOT_NUMBERS]
     assert all(row[0] == name for name, row in table.rows.items())
     assert table.fields == set(cls.__match_args__)
+    assert table.others == NOT_NUMBERS & table.fields
     assert list(table.required) == [name for name, row in table.rows.items() if row[4] is REQUIRED]
     for name, row in table.rows.items():  # a default the record declares is the table's
         assert row[4] == vars(cls).get(name, row[4])
@@ -968,6 +970,17 @@ def test_a_derived_power_out_of_range_is_rejected(key, item, field, message):
         assert (excinfo.value.field, str(excinfo.value)) == (field, message)
 
 
+def test_a_reader_that_marks_a_derived_power_out_of_range_fails_a_test(monkeypatch):
+    # a one-line mutation of _parse_records: without the derived-field break, an asset whose
+    # peak_power overflowed is marked, and the Scenario's check passes it
+    assert_the_test_catches(
+        monkeypatch, lambda: test_a_derived_power_out_of_range_is_rejected(*DERIVED_OVERFLOWS[0]),
+        "scenario_from_dict", scenario_module,
+        "# an overflow to inf, or a NaN\n                            break",
+        "# an overflow to inf, or a NaN\n                            pass",
+    )
+
+
 @pytest.mark.parametrize("cls, table, where", TABLES, ids=[cls.__name__ for cls, _, _ in TABLES])
 def test_every_table_default_lies_in_its_range(cls, table, where):
     # a record read in one walk takes its constant defaults unchecked
@@ -980,16 +993,16 @@ def test_every_table_default_lies_in_its_range(cls, table, where):
 # A record of finite floats is read in one walk; anything else takes the exact path
 # ---------------------------------------------------------------------------
 
-#: Each record a file holds as a dict of numbers, by its key, as (build, table). Assets are
-#: read as a list, the others one at a time, weights by ``_parse_weights`` for the flag.
+#: Each record a file holds as a dict of numbers, by its key, as its table. Assets are read
+#: as a list, the others one at a time, weights with their flag riding through.
 RECORDS = {
-    "pv_arrays": (PvArraySpec.create, scenario_module._PV),
-    "wind_turbines": (WindTurbineSpec.create, scenario_module._WIND),
-    "throughput": (ThroughputSpec, scenario_module._THROUGHPUT),
-    "shares": (SectorShares, scenario_module._SHARES),
-    "factors": (EmissionFactorSet, scenario_module._FACTORS),
-    "costs": (CostParameters, scenario_module._COSTS),
-    "objective_weights": (ObjectiveWeights, scenario_module._WEIGHTS),
+    "pv_arrays": scenario_module._PV,
+    "wind_turbines": scenario_module._WIND,
+    "throughput": scenario_module._THROUGHPUT,
+    "shares": scenario_module._SHARES,
+    "factors": scenario_module._FACTORS,
+    "costs": scenario_module._COSTS,
+    "objective_weights": scenario_module._WEIGHTS,
 }
 ASSET_KEYS = {"pv_arrays", "wind_turbines"}
 
@@ -1003,7 +1016,7 @@ ANY_VALUES = st.one_of(
 
 @st.composite
 def record_items(draw, key):
-    _, table = RECORDS[key]
+    table = RECORDS[key]
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from([None, [], "pv", 3.0, [1.0], ()]))
     # A required key is there three times in four, any other key once in four. A third of
@@ -1032,16 +1045,13 @@ def outcome(read):
 def one_walk_and_exact(key, item):
     """Two reads of ``item`` as the record under ``key``: as a file's is read, and by the exact
     path alone, which a Mapping that is not a dict always takes."""
-    build, table = RECORDS[key]
+    table = RECORDS[key]
     exact_item = MappingProxyType(item) if isinstance(item, dict) else item
     if key in ASSET_KEYS:
-        return (lambda: scenario_module._parse_assets({key: [item]}, key, build, table)[0],
-                lambda: build(**scenario_module._parse_numbers(exact_item, table, f"{key}[0]")))
-    if key == "objective_weights":
-        return (lambda: scenario_module._parse_weights(item),
-                lambda: scenario_module._parse_weights(exact_item))
-    return (lambda: scenario_module._parse_record(item, build, table, key),
-            lambda: build(**scenario_module._parse_numbers(exact_item, table, key)))
+        return (lambda: scenario_module._parse_assets({key: [item]}, key, table)[0],
+                lambda: table.build(**scenario_module._parse_numbers(exact_item, table, f"{key}[0]")))
+    return (lambda: scenario_module._parse_record(item, table, key),
+            lambda: table.build(**scenario_module._parse_numbers(exact_item, table, key)))
 
 
 RECORD_CASES = st.sampled_from(sorted(RECORDS)).flatmap(
@@ -1074,8 +1084,7 @@ def test_one_walk_read_matches_the_exact_path(case):
         return
     assert scenario_module._IN_RANGE not in exact().__dict__
     if scenario_module._IN_RANGE in record.__dict__:
-        _, table = RECORDS[key]
-        scenario_module._check_record(replace(record), table, key, 0 if key in ASSET_KEYS else None)
+        scenario_module._check_record(replace(record), RECORDS[key], key, 0 if key in ASSET_KEYS else None)
 
 
 def test_a_file_s_assets_are_read_once_per_list_and_checked_inline(monkeypatch):
@@ -1085,9 +1094,9 @@ def test_a_file_s_assets_are_read_once_per_list_and_checked_inline(monkeypatch):
     entered, checked = [], []
     parse_records, check_record = scenario_module._parse_records, scenario_module._check_record
 
-    def counting_parse_records(raws, build, table, where, indexed=True):
+    def counting_parse_records(raws, table, where, indexed=True):
         entered.append((where, len(raws)))
-        return parse_records(raws, build, table, where, indexed)
+        return parse_records(raws, table, where, indexed)
 
     def counting_check_record(record, table, where, index=None):
         checked.append(where if index is None else f"{where}[{index}]")
@@ -1111,6 +1120,49 @@ def test_a_file_s_assets_are_read_once_per_list_and_checked_inline(monkeypatch):
     assert checked == ["throughput", "shares", "factors", "renewables", "costs", "objective_weights"]
     assert all(scenario_module._IN_RANGE in asset.__dict__
                for asset in (*scenario.pv_arrays, *scenario.wind_turbines))
+
+
+def test_a_record_at_the_ends_of_its_ranges_is_read_in_one_walk_and_marked():
+    # every range is closed: 0.0, the largest float, a fraction's 1.0, the Betz limit and the
+    # smallest positive float are in range, so every record but the supply is marked
+    raw = make_scenario_dict(
+        throughput={"teu_per_year": 0.0, "unit_energy": 0.0},
+        shares={"equipment_share": 1.0, "transport_share": 0.0, "buildings_share": 0.0},
+        factors=dict.fromkeys(scenario_module._FACTORS.rows, 0.0),
+        costs={"baseline_cost_per_teu": 0.0, "optimized_cost_per_teu": sys.float_info.max},
+        pv_arrays=[{"panel_area": 0.0, "module_efficiency": 1.0, "performance_ratio": 1.0}],
+        wind_turbines=[{"swept_area": 0.0, "wind_speed": 0.0, "operating_hours": 0.0,
+                        "power_coefficient": BETZ_LIMIT}],
+        objective_weights={"w_energy": 0.0, "norm_energy": 5e-324},
+    )
+    scenario = scenario_from_dict(raw)
+    for (cls, _, _), record in zip(TABLES, records_of(scenario)):
+        assert (scenario_module._IN_RANGE in record.__dict__) is (cls is not RenewableSupplySpec), cls
+
+
+def test_a_reader_whose_ranges_are_open_at_the_low_end_fails_a_test(monkeypatch):
+    # a one-line mutation of _parse_records: a value at the low end of its range misses the walk
+    assert_the_test_catches(
+        monkeypatch, test_a_record_at_the_ends_of_its_ranges_is_read_in_one_walk_and_marked,
+        "scenario_from_dict", scenario_module,
+        "not low <= value <= high) and", "not low < value <= high) and",
+    )
+
+
+def test_an_asset_missing_a_required_key_is_named_by_the_exact_path():
+    # create raises TypeError without the key, which sends the dict down the exact path
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(make_scenario_dict(pv_arrays=[{"panel_area": 5000.0}]))
+    assert str(excinfo.value) == "missing required key 'module_efficiency' in pv_arrays[0]"
+
+
+def test_a_reader_that_lets_create_s_type_error_out_fails_a_test(monkeypatch):
+    # a one-line mutation of _parse_records: create's TypeError escapes the read
+    assert_the_test_catches(
+        monkeypatch, test_an_asset_missing_a_required_key_is_named_by_the_exact_path,
+        "scenario_from_dict", scenario_module,
+        "except (KeyError, TypeError):", "except KeyError:", fails_with=TypeError,
+    )
 
 
 PV = {"panel_area": 100.0, "module_efficiency": 0.2}
@@ -1189,7 +1241,17 @@ def test_weights_with_the_flag_are_read_in_one_walk(monkeypatch):
     scenario = scenario_from_dict(make_scenario_dict(objective_weights=weights))
     assert scenario.objective_weights == ObjectiveWeights(w_energy=2.0, renewables_reduce_score=False)
     assert "objective_weights" not in checked
+    assert scenario_module._IN_RANGE in scenario.objective_weights.__dict__
     assert weights == {"w_energy": 2.0, "renewables_reduce_score": False}  # the input is left as it was
+
+
+def test_a_reader_that_sends_the_flag_down_the_exact_path_fails_a_test(monkeypatch):
+    # a one-line mutation of _parse_records: without the others test, the flag, no float, sends
+    # the weights down the exact path, unmarked (the spy sees only the real module's calls)
+    assert_the_test_catches(
+        monkeypatch, lambda: test_weights_with_the_flag_are_read_in_one_walk(monkeypatch),
+        "scenario_from_dict", scenario_module, ") and key not in others:", "):",
+    )
 
 
 #: Weights objects holding the flag and a defect, with the error the program gave before
