@@ -89,13 +89,15 @@ def _cmd_run(source: str, format: str = "json", output: str | None = None,
              weights: dict[str, float] | None = None, shares: dict[str, float] | None = None) -> int:
     from ._record import replace
     from .report import run_scenario, serialize_report, summarize
-    from .scenario import SectorShares, with_shares, with_weights
-    # Each override builds a new Scenario, which checks itself.
+    from .scenario import SectorShares
     scenario = _load_input(source)
+    changes = {}
     if shares is not None:
-        scenario = with_shares(scenario, SectorShares(**shares))
+        changes["shares"] = SectorShares(**shares)
     if weights is not None:
-        scenario = with_weights(scenario, replace(scenario.objective_weights, **weights))
+        changes["objective_weights"] = replace(scenario.objective_weights, **weights)
+    if changes:  # the overrides build one new Scenario, which checks itself once
+        scenario = replace(scenario, **changes)
     report = run_scenario(scenario)
     _emit(serialize_report(report, format), output)
     try:

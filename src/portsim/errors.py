@@ -1,10 +1,11 @@
 """Exception types shared across the package.
 
 Every error carries the name of the subsystem that raised it so the CLI
-can report provenance without inspecting tracebacks. A public reader, and
-a record's ``__init__``, raises its error again from its own frame, through
-``_detached``: the traceback starts at the function the caller called, and
-holds neither the frames that parsed or checked the input nor what they read.
+can report provenance without inspecting tracebacks. A public reader,
+wrapped by ``_detaching``, and a record's ``__init__`` raise their error
+again through ``_detached``: the traceback starts at the function the caller
+called, and holds neither the frames that parsed or checked the input nor
+what they read, nor (for a reader) its arguments.
 """
 
 from __future__ import annotations
@@ -41,3 +42,18 @@ def _detached(error: PortsimError) -> PortsimError:
     if error.__suppress_context__:
         error.__context__ = None
     return error.with_traceback(None)
+
+
+def _detaching(reader):
+    """``reader``, raising its rejection again from one frame that holds none of its arguments."""
+    def detaching(*args, **kwargs):
+        try:
+            return reader(*args, **kwargs)
+        except PortsimError as error:
+            args = kwargs = None
+            raise _detached(error)
+    # by hand: a cold command imports no functools, which would cost it several ms
+    detaching.__module__, detaching.__name__, detaching.__qualname__ = (
+        reader.__module__, reader.__name__, reader.__qualname__)
+    detaching.__doc__, detaching.__wrapped__ = reader.__doc__, reader
+    return detaching

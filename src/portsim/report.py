@@ -23,7 +23,7 @@ from .dispatch import Assignment, format_number, solve_assignment
 from .economics import CostReport, cost_report
 from .emissions import EmissionsResult, evaluate_emissions
 from .energy import EnergyResult, evaluate_energy
-from .errors import DispatchError, ValidationError, _detached
+from .errors import DispatchError, ValidationError, _detaching
 from .objective import ObjectiveScore, score_scenario
 from .renewables import GenerationResult
 from .scenario import _MAX, _MIN, Scenario, SectorEnergyBreakdown, _loads
@@ -48,48 +48,45 @@ class SimulationReport:
         _check_report(self)
 
 
+@_detaching
 def run_scenario(scenario: Scenario) -> SimulationReport:
     """Evaluate one scenario, checked when it was built, into a report that checks itself:
     if one of its numbers is not finite (the scenario's values overflow),
     :class:`ValidationError` names the first by its path, e.g. ``emissions.baseline_emissions``."""
-    try:
-        renewable = scenario.renewables.renewable_energy
+    renewable = scenario.renewables.renewable_energy
 
-        energy = evaluate_energy(scenario.throughput, scenario.shares, renewable)
-        emissions = evaluate_emissions(
-            sectors=energy.baseline_by_sector, factors=scenario.factors, renewable_energy=renewable,
-            green_energy=scenario.renewables.new_green_energy,
-            baseline_energy_mwh=energy.baseline_total, optimized_energy_mwh=energy.optimized_total,
-        )
+    energy = evaluate_energy(scenario.throughput, scenario.shares, renewable)
+    emissions = evaluate_emissions(
+        sectors=energy.baseline_by_sector, factors=scenario.factors, renewable_energy=renewable,
+        green_energy=scenario.renewables.new_green_energy,
+        baseline_energy_mwh=energy.baseline_total, optimized_energy_mwh=energy.optimized_total,
+    )
 
-        assignment = None
-        if scenario.dispatch_matrix is not None:
-            try:
-                assignment = solve_assignment(scenario.dispatch_matrix)
-            except DispatchError as exc:  # a checked matrix fails only when its total overflows
-                raise ValidationError("assignment.total_cost", f"assignment.total_cost: {exc}") from None
+    assignment = None
+    if scenario.dispatch_matrix is not None:
+        try:
+            assignment = solve_assignment(scenario.dispatch_matrix)
+        except DispatchError as exc:  # a checked matrix fails only when its total overflows
+            raise ValidationError("assignment.total_cost", f"assignment.total_cost: {exc}") from None
 
-        costs = cost_report(scenario.throughput.teu_per_year, scenario.costs)
-        objective = score_scenario(
-            emissions=emissions.optimized_emissions, energy=energy.optimized_total,
-            dispatch_cost=assignment.total_cost if assignment is not None else 0.0,
-            renewable_energy=renewable, weights=scenario.objective_weights,
-        )
+    costs = cost_report(scenario.throughput.teu_per_year, scenario.costs)
+    objective = score_scenario(
+        emissions=emissions.optimized_emissions, energy=energy.optimized_total,
+        dispatch_cost=assignment.total_cost if assignment is not None else 0.0,
+        renewable_energy=renewable, weights=scenario.objective_weights,
+    )
 
-        flags: list[str] = []
-        if renewable > energy.baseline_total:
-            flags.append("renewables exceed demand: optimized energy clamped to zero")
-        if emissions.renewable_credit > emissions.baseline_emissions:
-            flags.append("renewable credit exceeds emissions: optimized emissions clamped to zero")
-        flags.extend(scenario.notes)
+    flags: list[str] = []
+    if renewable > energy.baseline_total:
+        flags.append("renewables exceed demand: optimized energy clamped to zero")
+    if emissions.renewable_credit > emissions.baseline_emissions:
+        flags.append("renewable credit exceeds emissions: optimized emissions clamped to zero")
+    flags.extend(scenario.notes)
 
-        generation = scenario._generation  # what the check modeled, if the assets give the supply
-        return SimulationReport(
-            scenario.name, energy, emissions, generation, assignment, costs, objective, tuple(flags)
-        )
-    except ValidationError as exc:  # raised again from here, without the report's frames or records
-        energy = emissions = assignment = costs = objective = flags = None
-        raise _detached(exc)
+    generation = scenario._generation  # what the check modeled, if the assets give the supply
+    return SimulationReport(
+        scenario.name, energy, emissions, generation, assignment, costs, objective, tuple(flags)
+    )
 
 
 # Every report field, in report order; ``name`` is both the attribute and the JSON key.
@@ -214,29 +211,23 @@ def _from_dict(raw: Any, cls: type, rows: tuple, prefix: str = "") -> Any:
     return cls(**fields)
 
 
+@_detaching
 def report_from_dict(raw: dict[str, Any]) -> SimulationReport:
     """The inverse of ``report_to_dict``. A missing key, a section that is not an object, or
     anything the report's check rejects is a ValidationError naming its report path. The
     report does not carry the matrix shape, so a column past the last one, or more rows than
     the matrix had, is not detected."""
-    try:
-        return _from_dict(raw, SimulationReport, _REPORT)
-    except ValidationError as exc:
-        raw = None  # the error keeps this frame, but not the document
-        raise _detached(exc)
+    return _from_dict(raw, SimulationReport, _REPORT)
 
 
+@_detaching
 def report_from_json(data: bytes | str) -> SimulationReport:
     """Parse a JSON report, e.g. one ``serialize_report`` wrote; see ``report_from_dict``."""
     try:
-        try:
-            raw = _loads(data)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
-            raise ValidationError("report", f"invalid report JSON: {exc}") from None
-        return report_from_dict(raw)
-    except ValidationError as exc:
-        raw = None  # the error keeps this frame, but not the document
-        raise _detached(exc)
+        raw = _loads(data)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
+        raise ValidationError("report", f"invalid report JSON: {exc}") from None
+    return report_from_dict(raw)
 
 
 def _json_steps(rows: tuple, depth: int) -> tuple:

@@ -15,6 +15,7 @@ from portsim import dispatch
 from portsim.dispatch import _shortest_paths
 from conftest import (
     PAPER_MATRIX,
+    assert_the_test_catches,
     bound_tops,
     enumerate_injections,
     enumerate_optima,
@@ -826,6 +827,16 @@ def test_integral_mark_is_set_for_int_totals_under_the_float_bound(shape):
                 assert {*map(type, mins)} == {float}
             best, mapping = enumerate_injections(matrix.entries)  # int cells past 2**53 are rounded
             assert solve_assignment(matrix) == Assignment(mapping=mapping, total_cost=float(best))
+
+
+def test_a_build_that_marks_no_matrix_with_a_zero_minimum_fails_a_test(monkeypatch):
+    # a one-line mutation of CostMatrix.__post_init__: a matrix whose least line minimum is 0 is left
+    # unmarked. The solve then scales its cells to ints and gives the same assignment, so only the
+    # mark shows it (a silent mutation, as SILENT_MUTATIONS lists for the solver).
+    assert_the_test_catches(
+        monkeypatch, lambda: test_integral_mark_is_set_for_int_totals_under_the_float_bound((4, 4)),
+        "CostMatrix", dispatch, "valid = 0.0 <= min(mins)", "valid = 0.0 < min(mins)",
+    )
 
 
 def test_integral_mark_cannot_be_seen():

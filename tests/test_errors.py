@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import math
 import types
@@ -20,6 +21,7 @@ from portsim import (
     scenario_from_json,
     scenario_to_dict,
 )
+from portsim import dispatch, report, scenario
 from portsim._record import replace
 from portsim.report import report_from_dict
 
@@ -31,6 +33,13 @@ def yangshan_document():
 def shares_sum_document():
     raw = yangshan_document()
     raw["shares"]["buildings_share"] = 0.5
+    return raw
+
+
+def shares_sum_document_with_assets():
+    raw = shares_sum_document()  # the share sum is checked after the assets are built
+    raw["pv_arrays"] = [{"panel_area": 5000.0, "module_efficiency": 0.2}]
+    raw["wind_turbines"] = [{"swept_area": 5000.0, "wind_speed": 7.0, "operating_hours": 2000.0}]
     return raw
 
 
@@ -87,6 +96,7 @@ def grid_not_utf8(rows):
 #: file readers are given a file that holds it.
 CASES = {
     "shares-sum-dict": (scenario_from_dict, shares_sum_document, itself),
+    "shares-sum-dict-with-assets": (scenario_from_dict, shares_sum_document_with_assets, itself),
     "shares-sum-json": (scenario_from_json, shares_sum_document, json_text),
     "shares-sum-file": (load_scenario, shares_sum_document, json_text),
     "truncated-json": (scenario_from_json, shares_sum_document, truncated),
@@ -175,3 +185,18 @@ def test_a_kept_error_holds_no_input_it_rejected(tmp_path, case):
             assert repr(obj) != shown, f"{case}: the error keeps its parsed document"
         if text is not None:
             assert obj != text, f"{case}: the error keeps the file's text"
+
+
+READERS = [
+    scenario.scenario_from_dict, scenario.scenario_from_json, scenario.load_scenario,
+    report.report_from_dict, report.report_from_json, report.run_scenario, dispatch.load_cost_matrix,
+]
+
+
+@pytest.mark.parametrize("reader", READERS, ids=lambda reader: reader.__name__)
+def test_a_detaching_reader_reads_as_the_function_it_wraps(reader):
+    plain = reader.__wrapped__
+    assert plain is not reader and plain.__code__ is not reader.__code__
+    assert inspect.signature(reader) == inspect.signature(plain)
+    for name in ("__name__", "__qualname__", "__doc__", "__module__"):
+        assert getattr(reader, name) == getattr(plain, name), name

@@ -389,6 +389,15 @@ def test_cli_run_checks_the_scenario_once(tmp_path, monkeypatch, capsys):
     assert calls == ["test-port"]
 
 
+def test_cli_run_with_both_overrides_checks_the_scenario_twice(tmp_path, monkeypatch, capsys):
+    # the file's Scenario, then one Scenario built with both overrides, not one per override
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(make_scenario_dict()))
+    calls = count_checks(monkeypatch)
+    assert main(["run", str(path), "--shares", "0.5,0.3,0.2", "--weights", "2,1,1,1"]) == 0
+    assert calls == ["test-port", "test-port"]
+
+
 def test_library_run_checks_the_preset_once(monkeypatch):
     calls = count_checks(monkeypatch)
     run_scenario(get_preset("yangshan-phase4"))
@@ -978,6 +987,32 @@ def test_a_reader_that_marks_a_derived_power_out_of_range_fails_a_test(monkeypat
         "scenario_from_dict", scenario_module,
         "# an overflow to inf, or a NaN\n                            break",
         "# an overflow to inf, or a NaN\n                            pass",
+    )
+
+
+@pytest.mark.parametrize("pattern, case", [
+    ("if pv.__class__ is not PvArraySpec or _IN_RANGE", 0),
+    ("if wt.__class__ is not WindTurbineSpec or _IN_RANGE", 2),
+], ids=["pv", "wind"])
+def test_a_scenario_check_that_passes_an_unmarked_asset_fails_a_test(monkeypatch, pattern, case):
+    # a one-line mutation of _check_scenario's asset test, ``or`` made ``and``: an asset of the
+    # right class is then passed unchecked whether or not the parse marked it in range
+    assert_the_test_catches(
+        monkeypatch, lambda: test_a_derived_power_out_of_range_is_rejected(*DERIVED_OVERFLOWS[case]),
+        "scenario_from_dict", scenario_module, pattern, pattern.replace(" or ", " and "),
+    )
+
+
+def test_a_record_check_that_reads_the_mark_before_the_class_fails_a_test(monkeypatch):
+    # a one-line mutation of _check_record: a record of another class that the parse marked in
+    # range (here the file's shares, given as a PV array) passes unchecked
+    defect = next(case for case in HAND_BUILT_DEFECTS if case[1] == "pv_arrays[0]")
+    pattern = "    if record.__class__ is not table.cls:  # tested before the mark"
+    assert_the_test_catches(
+        monkeypatch,
+        lambda: test_invalid_scenario_cannot_be_built(scenario_from_dict(make_scenario_dict()), *defect),
+        "scenario_from_dict", scenario_module,
+        pattern, "    if _IN_RANGE in record.__dict__:\n        return\n" + pattern,
     )
 
 
